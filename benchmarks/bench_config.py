@@ -2,13 +2,10 @@
 conftest name itself collides with the root conftest)."""
 import os
 
+from repro.core.pipeline import DELTA, ETA  # noqa: F401  (re-exported)
+
 BENCH_SF = float(os.environ.get("REPRO_BENCH_SF", "0.1"))
 BENCH_SEED = 7
-# η = 5 at SF = 0.1 reproduces the paper's Table IV Stage-I operating point
-# (P ≈ .92 / R ≈ .44 vs the paper's .87 / .44); δ = 0 is the natural
-# posterior-odds decision boundary.
-ETA = 5
-DELTA = 0.0
 N_NAMES = 50
 
 

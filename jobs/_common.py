@@ -4,6 +4,8 @@ import os
 
 from pyspark.sql import SparkSession
 
+from repro.core.pipeline import DELTA, ETA
+
 
 def get_spark(app: str) -> SparkSession:
     return (
@@ -22,8 +24,8 @@ def base_parser(desc: str) -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(description=desc)
     p.add_argument("--sf", type=float, default=0.1, help="corpus scale factor")
     p.add_argument("--seed", type=int, default=7, help="corpus seed")
-    p.add_argument("--eta", type=int, default=5, help="η-SCR support threshold")
-    p.add_argument("--delta", type=float, default=0.0, help="decision threshold δ")
+    p.add_argument("--eta", type=int, default=ETA, help="η-SCR support threshold")
+    p.add_argument("--delta", type=float, default=DELTA, help="decision threshold δ")
     p.add_argument("--names", type=int, default=50, help="testing-set size")
     return p
 

@@ -1,6 +1,6 @@
 """Run the full IUAD pipeline on a synthetic corpus and print a summary.
 
-    spark-submit jobs/run_iuad.py --sf 0.1 --eta 4 --delta 6
+    spark-submit jobs/run_iuad.py --sf 0.1 --eta 5 --delta 0
 """
 import sys
 from pathlib import Path

@@ -7,16 +7,10 @@ the paper gives the responsibility-weighted MLEs for Multinomial, Gaussian
 and Exponential marginals; EM alternates those M-step formulas with the
 posterior E-step. The matching score (eq. 11) is the log posterior-odds.
 
-Two fitting paths share one numpy math core:
-
-* ``fit_em`` — numpy EM over a collected sample (the paper trains on a 10 %
-  sample of pairs, so the training matrix is small by design).
-* ``fit_em_spark`` — the same EM with sufficient statistics computed by
-  Spark aggregations, for corpora where even the sample is large
-  (Gaussian/Exponential marginals — the defaults).
-
-Scoring of *all* pairs is a pure Catalyst column expression
-(``score_column``), evaluated per partition.
+``fit_em`` runs EM in numpy over a collected sample: the paper trains on a
+10 % sample of pairs, so the training matrix is small by design. Scoring of
+*all* pairs is a pure Catalyst column expression (``score_column``),
+evaluated per partition; ``score_array`` is its numpy twin.
 """
 from __future__ import annotations
 
@@ -25,7 +19,7 @@ import math
 from typing import Mapping, Sequence
 
 import numpy as np
-from pyspark.sql import Column, DataFrame
+from pyspark.sql import Column
 from pyspark.sql import functions as F
 
 from repro.core.gammas import GAMMA_NAMES
@@ -72,7 +66,7 @@ class EMParams:
 
 
 # --------------------------------------------------------------------------
-# numpy math core (shared by both fitting paths)
+# numpy math core
 # --------------------------------------------------------------------------
 
 def _gauss_logpdf(x: np.ndarray, mu: float, var: float) -> np.ndarray:
@@ -145,16 +139,25 @@ def _init_responsibilities(X: np.ndarray, init_frac: float, seed: int) -> np.nda
     return np.clip(r + g.normal(0, 0.01, len(r)), 0.01, 0.99)
 
 
-def loglik_and_resp(
+def _log_joint(
     X: np.ndarray, feats: Sequence[str], params: EMParams
-) -> tuple[float, np.ndarray]:
-    """E-step: total log-likelihood and responsibilities P(M | γ, Θ)."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-row log P(γ, M) and log P(γ, U): the prior plus each feature's
+    log-density, summed in ``feats`` order."""
     lm = np.full(len(X), math.log(max(params.p, _P_LO)))
     lu = np.full(len(X), math.log(max(1 - params.p, _P_LO)))
     for i, f in enumerate(feats):
         fp = params.features[f]
         lm = lm + _feature_logpdf(X[:, i], fp, "M")
         lu = lu + _feature_logpdf(X[:, i], fp, "U")
+    return lm, lu
+
+
+def loglik_and_resp(
+    X: np.ndarray, feats: Sequence[str], params: EMParams
+) -> tuple[float, np.ndarray]:
+    """E-step: total log-likelihood and responsibilities P(M | γ, Θ)."""
+    lm, lu = _log_joint(X, feats, params)
     mx = np.maximum(lm, lu)
     ll = float(np.sum(mx + np.log(np.exp(lm - mx) + np.exp(lu - mx))))
     resp = 1.0 / (1.0 + np.exp(np.clip(lu - lm, -500, 500)))
@@ -248,18 +251,12 @@ def score_array(
 ) -> np.ndarray:
     """Matching scores sc_j (eq. 11) for a (n, len(feats)) γ matrix — the
     numpy twin of ``score_column`` used by the incremental path."""
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    lm = np.full(len(X), math.log(max(params.p, _P_LO)))
-    lu = np.full(len(X), math.log(max(1 - params.p, _P_LO)))
-    for i, f in enumerate(feats):
-        fp = params.features[f]
-        lm = lm + _feature_logpdf(X[:, i], fp, "M")
-        lu = lu + _feature_logpdf(X[:, i], fp, "U")
+    lm, lu = _log_joint(np.atleast_2d(np.asarray(X, dtype=float)), feats, params)
     return lm - lu
 
 
 # --------------------------------------------------------------------------
-# Spark: distributed sufficient statistics and scoring
+# Spark: scoring
 # --------------------------------------------------------------------------
 
 def _logpdf_column(col: Column, fp: FeatureParams, which: str) -> Column:
@@ -288,85 +285,3 @@ def score_column(params: EMParams, feats: Sequence[str] = GAMMA_NAMES) -> Column
         lm = lm + _logpdf_column(F.col(f), fp, "M")
         lu = lu + _logpdf_column(F.col(f), fp, "U")
     return lm - lu
-
-
-def fit_em_spark(
-    pairs: DataFrame,
-    *,
-    feats: Sequence[str] = GAMMA_NAMES,
-    dists: Mapping[str, str] | None = None,
-    n_iter: int = 60,
-    tol: float = 1e-7,
-    init_frac: float = 0.15,
-) -> EMParams:
-    """EM where each iteration's sufficient statistics are one distributed
-    aggregation over the pair DataFrame. Gaussian/Exponential marginals only
-    (the defaults); multinomial needs the numpy path."""
-    dists = dict(DEFAULT_DISTS if dists is None else dists)
-    if any(d == "multinomial" for d in dists.values()):
-        raise ValueError("fit_em_spark supports gaussian/exponential marginals only")
-    pairs = pairs.select(*feats).cache()
-
-    stats = pairs.select(
-        *[F.avg(f).alias(f"mu_{f}") for f in feats],
-        *[F.stddev_pop(f).alias(f"sd_{f}") for f in feats],
-        F.count("*").alias("n"),
-    ).first()
-    composite = sum(
-        (F.col(f) - F.lit(stats[f"mu_{f}"])) / F.lit(stats[f"sd_{f}"] or 1.0) for f in feats
-    ) / F.lit(float(len(feats)))
-    thresh = pairs.select(
-        F.percentile_approx(composite, F.lit(1 - init_frac)).alias("t")
-    ).first()["t"]
-    r_col = F.when(composite >= F.lit(thresh), 0.9).otherwise(0.05)
-
-    def agg_params(resp: Column) -> EMParams:
-        row = pairs.select(
-            resp.alias("r"),
-            *[F.col(f) for f in feats],
-        ).select(
-            F.sum("r").alias("sr"),
-            F.count("*").alias("n"),
-            *[F.sum(F.col("r") * F.col(f)).alias(f"srx_{f}") for f in feats],
-            *[F.sum(F.col("r") * F.col(f) * F.col(f)).alias(f"srxx_{f}") for f in feats],
-            *[F.sum(F.col(f)).alias(f"sx_{f}") for f in feats],
-            *[F.sum(F.col(f) * F.col(f)).alias(f"sxx_{f}") for f in feats],
-        ).first()
-        sr, n = float(row["sr"]), float(row["n"])
-        p = float(np.clip(sr / n, _P_LO, _P_HI))
-        fps = {}
-        for f in feats:
-            m = _mstep_moments(
-                dists[f], sr=sr, srx=float(row[f"srx_{f}"]), srxx=float(row[f"srxx_{f}"])
-            )
-            u = _mstep_moments(
-                dists[f],
-                sr=n - sr,
-                srx=float(row[f"sx_{f}"]) - float(row[f"srx_{f}"]),
-                srxx=float(row[f"sxx_{f}"]) - float(row[f"srxx_{f}"]),
-            )
-            fps[f] = FeatureParams(dist=dists[f], matched=m, unmatched=u)
-        return EMParams(p=p, features=fps)
-
-    params = agg_params(r_col)
-    prev = -np.inf
-    for it in range(1, n_iter + 1):
-        sc = score_column(params, feats)
-        resp = F.lit(1.0) / (F.lit(1.0) + F.exp(F.greatest(F.least(-sc, F.lit(500.0)), F.lit(-500.0))))
-        params_new = agg_params(resp)
-        params_new.n_iter = it
-        # Convergence on parameter drift (cheaper than a second pass for ll).
-        drift = abs(params_new.p - params.p) + sum(
-            abs(a - b)
-            for f in feats
-            for a, b in zip(
-                sorted(params_new.features[f].matched.values()),
-                sorted(params.features[f].matched.values()),
-            )
-        )
-        params = params_new
-        if drift < tol * 10:
-            break
-        prev = drift
-    pairs.unpersist()
-    return _orient(params, feats)

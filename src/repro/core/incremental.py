@@ -9,6 +9,7 @@ profile so a stream of papers can be judged one by one.
 """
 from __future__ import annotations
 
+import dataclasses
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -30,6 +31,8 @@ def paper_keywords(title: str, stats: CorpusStats) -> list[str]:
 
 def profile_for_paper(paper: Mapping, name: str, stats: CorpusStats) -> Profile:
     """The isolated-vertex profile of a single new paper occurrence."""
+    if name not in paper["names"]:
+        raise ValueError(f"{name!r} is not an author of paper {paper['paper_id']!r}")
     year = int(paper["year"])
     return Profile(
         vertex_id=f"{name}@new{paper['paper_id']}",
@@ -63,13 +66,10 @@ class IncrementalJudge:
             self.by_name.setdefault(p.name, []).append(p)
 
     @classmethod
-    def from_model(cls, model, names: Sequence[str] | None = None) -> "IncrementalJudge":
+    def from_model(cls, model) -> "IncrementalJudge":
         """Build from an ``IUADModel``, merging SCN vertex profiles into GCN
         vertices (profiles of merged vertices are combined)."""
-        prof_df = model.profiles.profiles
-        if names is not None:
-            prof_df = prof_df.where(prof_df.name.isin(list(names)))
-        rows = prof_df.collect()
+        rows = model.profiles.profiles.collect()
         mapping = {
             r["vertex_id"]: r["gcn_vertex"] for r in model.gcn.mapping.collect()
         }
@@ -78,12 +78,7 @@ class IncrementalJudge:
             p = row_to_profile(r)
             key = mapping.get(p.vertex_id, p.vertex_id)
             if key not in merged:
-                merged[key] = Profile(
-                    vertex_id=key, name=p.name, n_papers=p.n_papers,
-                    venues=dict(p.venues), modal_venue=p.modal_venue,
-                    keywords=dict(p.keywords), wl=dict(p.wl), wl_norm=p.wl_norm,
-                    triangles=p.triangles,
-                )
+                merged[key] = dataclasses.replace(p, vertex_id=key)
             else:
                 merged[key] = _combine(merged[key], p)
         return cls(list(merged.values()), model.profiles.stats, model.params, delta=model.delta)

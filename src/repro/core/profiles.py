@@ -10,7 +10,6 @@ from __future__ import annotations
 import dataclasses
 
 import numpy as np
-import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 
@@ -41,17 +40,9 @@ def _empty(col, typ):
     return F.coalesce(col, F.array().cast(typ))
 
 
-def build_profiles(
-    spark: SparkSession,
-    papers: DataFrame,
-    scn: SCN,
-    *,
-    wl_h: int = 2,
-    embed_dim: int = 64,
-    kw: DataFrame | None = None,
-) -> ProfileSet:
+def build_profiles(spark: SparkSession, papers: DataFrame, scn: SCN) -> ProfileSet:
     """Aggregate per-vertex profiles from the SCN and the paper database."""
-    kw = (kw if kw is not None else keywords(papers)).cache()
+    kw = keywords(papers).cache()
     asg = scn.assignments.cache()
     meta = papers.select("paper_id", "venue", "year")
     base = asg.join(meta, "paper_id").cache()
@@ -96,7 +87,7 @@ def build_profiles(
     )
 
     vertices = asg.select("vertex_id", "name").dropDuplicates(["vertex_id"])
-    wl = wl_features(scn.edges, vertices, h=wl_h)
+    wl = wl_features(scn.edges, vertices)
 
     # Triangle sets, keyed by the *names* of the other two corners so that
     # two same-name vertices can share a triangle literal.
@@ -146,9 +137,9 @@ def build_profiles(
         r["venue"]: r["n"]
         for r in papers.groupBy("venue").agg(F.countDistinct("paper_id").alias("n")).collect()
     }
-    wv = word_vectors(kw, dim=embed_dim)
+    wv = word_vectors(kw)
     vecs = {k: np.asarray(v) for k, v in zip(wv["keyword"], wv["vec"])}
-    dim = embed_dim if not vecs else len(next(iter(vecs.values())))
+    dim = len(next(iter(vecs.values()))) if vecs else 0
     stats = CorpusStats(fb=fb, fh=fh, word_vectors=vecs, dim=dim, alpha=ALPHA)
     return ProfileSet(profiles=prof, stats=stats)
 
@@ -173,9 +164,3 @@ def row_to_profile(row) -> Profile:
         wl_norm=float(get("wl_norm")),
         triangles=frozenset(get("tri")),
     )
-
-
-def profiles_to_pandas(profiles: DataFrame) -> pd.DataFrame:
-    """Collect profiles to pandas (used by the incremental path for the
-    same-name candidate vertices)."""
-    return profiles.toPandas()

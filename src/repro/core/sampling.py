@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.gammas import CorpusStats, Profile, gamma_vector
+from repro.core.gammas import GAMMA_NAMES, CorpusStats, Profile, gamma_vector
 
 
 def split_profile(p: Profile, rng: np.random.Generator) -> tuple[Profile, Profile]:
@@ -71,11 +71,12 @@ def synthetic_matched_gammas(
     seed: int = 0,
 ) -> np.ndarray:
     """γ vectors of ``n`` split-pair (guaranteed matched) samples drawn from
-    prolific vertices. Empty (0, 6) array if no vertex is prolific enough."""
+    prolific vertices; an empty array with one column per γ if no vertex
+    is prolific enough."""
     rng = np.random.default_rng(seed)
     pool = [p for p in profiles if p.n_papers >= min_papers]
     if not pool or n <= 0:
-        return np.zeros((0, 6))
+        return np.zeros((0, len(GAMMA_NAMES)))
     out = []
     for _ in range(n):
         p = pool[int(rng.integers(len(pool)))]

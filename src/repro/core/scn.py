@@ -123,10 +123,9 @@ def scr_vertex_id(name_col, comp_col):
     return F.concat(name_col, F.lit(VSEP), comp_col)
 
 
-def build_scn(papers: DataFrame, *, eta: int = 2, scrs: DataFrame | None = None) -> SCN:
+def build_scn(papers: DataFrame, *, eta: int = 2) -> SCN:
     """Construct the SCN from a paper database (Algorithm 1, lines 2–5)."""
-    scrs = scrs if scrs is not None else mine_scrs(papers, eta=eta)
-    scrs = scrs.cache()
+    scrs = mine_scrs(papers, eta=eta).cache()
     pc = partner_components(scrs).cache()
     occ = occurrences(papers)
 

@@ -22,36 +22,23 @@ PAIR_SCHEMA = (
 )
 
 
-def pair_similarities(
-    profiles: DataFrame,
-    stats: CorpusStats,
-    *,
-    max_pairs_per_name: int | None = None,
-) -> DataFrame:
-    """γ vectors for every same-name vertex pair (vid_i < vid_j).
-
-    ``max_pairs_per_name`` caps the per-name pair explosion for extremely
-    prolific names (None = all pairs, the paper's setting); when capped,
-    pairs between the highest-paper-count vertices are kept first, since
-    singleton-singleton pairs carry the least signal.
-    """
+def pair_similarities(profiles: DataFrame, stats: CorpusStats) -> DataFrame:
+    """γ vectors for every same-name vertex pair (vid_i < vid_j)."""
 
     def _pairs(pdf: pd.DataFrame) -> pd.DataFrame:
         if len(pdf) < 2:
             return pd.DataFrame(columns=["name", "vid_i", "vid_j", *GAMMA_NAMES])
+        # The output row order decides which pairs run_iuad's seeded 10 %
+        # sample draws, so it is kept fixed.
         pdf = pdf.sort_values(["n_papers", "vertex_id"], ascending=[False, True])
         profs = [row_to_profile(r) for _, r in pdf.iterrows()]
         out = []
-        combos = itertools.combinations(range(len(profs)), 2)
-        for a, b in combos:
-            pi, pj = profs[a], profs[b]
+        for pi, pj in itertools.combinations(profs, 2):
             vi, vj = sorted((pi.vertex_id, pj.vertex_id))
             if vi != pi.vertex_id:
                 pi, pj = pj, pi
             g = gamma_vector(pi, pj, stats)
             out.append((pi.name, vi, vj, *map(float, g)))
-            if max_pairs_per_name is not None and len(out) >= max_pairs_per_name:
-                break
         return pd.DataFrame(out, columns=["name", "vid_i", "vid_j", *GAMMA_NAMES])
 
     return profiles.groupBy("name").applyInPandas(_pairs, schema=PAIR_SCHEMA)

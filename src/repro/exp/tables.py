@@ -19,7 +19,14 @@ from repro.baselines.ghost import NameGraph, run_ghost
 from repro.baselines.nete import run_nete
 from repro.baselines.supervised import run_supervised
 from repro.core.incremental import IncrementalJudge
-from repro.core.pipeline import IUADModel, gcn_assignments, run_iuad, scn_only_assignments
+from repro.core.pipeline import (
+    DELTA,
+    ETA,
+    IUADModel,
+    gcn_assignments,
+    run_iuad,
+    scn_only_assignments,
+)
 from repro.dblp.generator import Corpus, author_paper_pairs
 from repro.dblp.testing import testing_occurrences, testing_set
 from repro.eval.metrics import Confusion, confusion, confusion_pandas
@@ -68,8 +75,8 @@ def table3(
     corpus: Corpus,
     *,
     n_names: int = 50,
-    eta: int = 4,
-    delta: float = 6.0,
+    eta: int = ETA,
+    delta: float = DELTA,
     seed: int = 0,
     model: IUADModel | None = None,
 ) -> pd.DataFrame:
@@ -123,8 +130,8 @@ def table4(
     corpus: Corpus,
     *,
     n_names: int = 50,
-    eta: int = 4,
-    delta: float = 6.0,
+    eta: int = ETA,
+    delta: float = DELTA,
     seed: int = 0,
     model: IUADModel | None = None,
 ) -> pd.DataFrame:
@@ -149,8 +156,8 @@ def table5(
     *,
     n_names: int = 50,
     fractions: tuple[float, ...] = (0.2, 0.4, 0.6, 0.8, 1.0),
-    eta: int = 4,
-    delta: float = 6.0,
+    eta: int = ETA,
+    delta: float = DELTA,
     seed: int = 0,
 ) -> pd.DataFrame:
     """Average disambiguation time per name at growing data scale.
@@ -204,8 +211,8 @@ def table6(
     *,
     n_names: int = 50,
     n_new: tuple[int, ...] = (100, 200, 300),
-    eta: int = 4,
-    delta: float = 6.0,
+    eta: int = ETA,
+    delta: float = DELTA,
     seed: int = 0,
 ) -> pd.DataFrame:
     """Incremental disambiguation: hold out N testing-name papers, build the
@@ -231,7 +238,7 @@ def table6(
         m1 = confusion(gcn_assignments(model).join(truth1, ["paper_id", "name"]))
 
         # Stream part 2 through the incremental judge.
-        judge = IncrementalJudge.from_model(model, names=None)
+        judge = IncrementalJudge.from_model(model)
         held_papers = corpus.papers[corpus.papers.paper_id.isin(held)]
         base = gcn_assignments(model).toPandas()
         extra = []

@@ -67,15 +67,3 @@ def word_vectors(kw: DataFrame, *, dim: int = 64) -> pd.DataFrame:
     u, s, _ = np.linalg.svd(ppmi, full_matrices=False)
     vecs = u[:, :d] * np.sqrt(s[:d])
     return pd.DataFrame({"keyword": vocab, "vec": [vecs[i].astype(np.float64) for i in range(V)]})
-
-
-def mean_vector(vectors: dict[str, np.ndarray], words: list[str], dim: int) -> np.ndarray:
-    """Mean of the vectors of ``words`` that have one; zeros if none do."""
-    acc = np.zeros(dim)
-    n = 0
-    for w in words:
-        v = vectors.get(w)
-        if v is not None:
-            acc += v
-            n += 1
-    return acc / n if n else acc

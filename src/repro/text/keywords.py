@@ -20,12 +20,7 @@ def title_tokens(papers: DataFrame) -> DataFrame:
     ).where(F.col("token") != "")
 
 
-def keywords(
-    papers: DataFrame,
-    *,
-    extra_stopwords: tuple[str, ...] = (),
-    top_frequent_cut: float = 0.02,
-) -> DataFrame:
+def keywords(papers: DataFrame, *, top_frequent_cut: float = 0.02) -> DataFrame:
     """(paper_id, keyword) rows after stop-word and frequency filtering.
 
     ``top_frequent_cut``: tokens appearing in more than this fraction of
@@ -33,8 +28,7 @@ def keywords(
     titles"; generic filler words carry no interest signal).
     """
     toks = title_tokens(papers)
-    stop = set(STOPWORDS) | set(extra_stopwords)
-    toks = toks.where(~F.col("token").isin(*sorted(stop)))
+    toks = toks.where(~F.col("token").isin(*sorted(set(STOPWORDS))))
     n_papers = papers.count()
     doc_freq = (
         toks.groupBy("token")

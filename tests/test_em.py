@@ -1,4 +1,4 @@
-"""The generative model: Table I MLEs, EM recovery, Spark/numpy agreement."""
+"""The generative model: Table I MLEs, EM recovery, Spark/numpy scoring agreement."""
 import math
 
 import numpy as np
@@ -11,10 +11,10 @@ from repro.core.em import (
     DEFAULT_DISTS,
     EMParams,
     FeatureParams,
+    _log_joint,
     _mstep,
     _mstep_moments,
     fit_em,
-    fit_em_spark,
     loglik_and_resp,
     score_array,
     score_column,
@@ -142,6 +142,13 @@ class TestEMRecovery:
         p = fit_em(X, seed=0)
         scores = score_array(X, p)
         assert ((scores > 0) == z).mean() > 0.9
+        # The E-step and the scores come from one log-joint: responsibilities
+        # are the logistic of the score, the log-likelihood its log-sum-exp.
+        ll, resp = loglik_and_resp(X, GAMMA_NAMES, p)
+        np.testing.assert_allclose(resp, 1 / (1 + np.exp(-scores)), rtol=0, atol=1e-12)
+        lm, lu = _log_joint(X, GAMMA_NAMES, p)
+        np.testing.assert_array_equal(lm - lu, scores)
+        assert ll == pytest.approx(float(np.sum(np.logaddexp(lm, lu))), rel=1e-12)
 
 
 class TestScoring:
@@ -194,40 +201,6 @@ class TestScoring:
             .to_numpy()
         )
         np.testing.assert_allclose(got, score_array(X, params, feats=["f"]), rtol=1e-8)
-
-
-@pytest.mark.spark
-class TestSparkEM:
-    def test_spark_em_close_to_numpy(self, spark):
-        rng = np.random.default_rng(0)
-        n = 2000
-        z = rng.random(n) < 0.3
-        X = np.stack(
-            [
-                np.where(z, rng.normal(0.8, 0.1, n), rng.normal(0.2, 0.1, n)),
-                np.where(z, rng.exponential(1.0, n), rng.exponential(0.05, n)),
-            ],
-            axis=1,
-        )
-        pdf = pd.DataFrame(X, columns=["a", "b"])
-        p_np = fit_em(X, feats=["a", "b"], dists={"a": "gaussian", "b": "exponential"}, seed=0)
-        p_sp = fit_em_spark(
-            spark.createDataFrame(pdf),
-            feats=["a", "b"],
-            dists={"a": "gaussian", "b": "exponential"},
-        )
-        assert p_sp.p == pytest.approx(p_np.p, abs=0.05)
-        assert p_sp.features["a"].matched["mu"] == pytest.approx(
-            p_np.features["a"].matched["mu"], abs=0.05
-        )
-        assert p_sp.features["b"].matched["lam"] == pytest.approx(
-            p_np.features["b"].matched["lam"], rel=0.2
-        )
-
-    def test_spark_em_rejects_multinomial(self, spark):
-        pdf = pd.DataFrame({"a": [0.0, 1.0, 0.0]})
-        with pytest.raises(ValueError):
-            fit_em_spark(spark.createDataFrame(pdf), feats=["a"], dists={"a": "multinomial"})
 
 
 class TestDefaults:

@@ -5,7 +5,7 @@ import pytest
 
 from repro.baselines.embed import local_keywords, local_word_vectors
 from repro.dblp.generator import PAPER_SCHEMA
-from repro.text.embeddings import cooccurrence, mean_vector, word_vectors
+from repro.text.embeddings import cooccurrence, word_vectors
 from repro.text.keywords import keywords
 
 
@@ -57,19 +57,6 @@ class TestSparkEmbeddings:
         )
         kw = keywords(empty, top_frequent_cut=1.0)
         assert len(word_vectors(kw)) == 0
-
-
-class TestMeanVector:
-    def test_average_of_known(self):
-        vecs = {"a": np.array([1.0, 0.0]), "b": np.array([0.0, 1.0])}
-        np.testing.assert_allclose(mean_vector(vecs, ["a", "b"], 2), [0.5, 0.5])
-
-    def test_unknown_words_skipped(self):
-        vecs = {"a": np.array([2.0, 0.0])}
-        np.testing.assert_allclose(mean_vector(vecs, ["a", "zz"], 2), [2.0, 0.0])
-
-    def test_all_unknown_zero(self):
-        np.testing.assert_allclose(mean_vector({}, ["x"], 3), np.zeros(3))
 
 
 class TestLocalEmbeddings:

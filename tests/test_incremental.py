@@ -118,6 +118,18 @@ class TestAssimilate:
         assert out.startswith("n@new")
         assert len(j.by_name["n"]) == 2
 
+    def test_name_not_on_paper_raises(self, stats, params):
+        """A name missing from the paper's author list is bad input: neither
+        judging nor assimilating may build a vertex for it."""
+        j = IncrementalJudge([v1_profile()], stats, params, delta=0.0)
+        paper = graph_paper()
+        paper["names"] = ["x"]
+        with pytest.raises(ValueError):
+            j.judge(paper, "n")
+        with pytest.raises(ValueError):
+            j.assimilate(paper, "n", None)
+        assert [p.vertex_id for p in j.by_name["n"]] == ["n#v1"]
+
     def test_unknown_vertex_raises(self, stats, params):
         j = IncrementalJudge([v1_profile()], stats, params, delta=0.0)
         with pytest.raises(KeyError):

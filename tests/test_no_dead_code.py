@@ -1,0 +1,78 @@
+"""Every public function and class of the pipeline packages has a caller.
+
+Parses ``src/repro/{core,graph,text}`` and looks for a reference to each
+public top-level function or class (a ``Name``, an ``Attribute`` or an
+import) anywhere under ``src/``, ``jobs/``, ``benchmarks/`` or
+``perfbench/``, outside its own definition. Tests do not count as callers:
+code that only tests reach is dead. Matching is on the syntax tree, so a
+name mentioned in a docstring or comment is not a reference.
+"""
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGES = ("core", "graph", "text")
+CALLER_DIRS = ("src", "jobs", "benchmarks", "perfbench")
+
+#: Kept without a production caller, each for the reason given.
+ALLOWED = {
+    "mine_scrs_fpgrowth": "test oracle: FP-growth reference for mine_scrs",
+    "local_components": "test oracle: local reference for components_per_group",
+}
+
+
+def _parse(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(), filename=str(path))
+
+
+def _definitions() -> dict[str, Path]:
+    """Public top-level function/class name -> defining file."""
+    defs = {}
+    for pkg in PACKAGES:
+        for path in sorted((ROOT / "src" / "repro" / pkg).glob("*.py")):
+            for node in _parse(path).body:
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                    if not node.name.startswith("_"):
+                        defs[node.name] = path
+    return defs
+
+
+def _referenced_names(node: ast.AST) -> set[str]:
+    out = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            out.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            out.add(sub.attr)
+        elif isinstance(sub, ast.ImportFrom):
+            out.update(a.name for a in sub.names)
+    return out
+
+
+def _references(defs: dict[str, Path]) -> set[str]:
+    """Names referenced from caller files, skipping each definition's own
+    body in its own file."""
+    refs = set()
+    for d in CALLER_DIRS:
+        for path in sorted((ROOT / d).rglob("*.py")):
+            for node in _parse(path).body:
+                own = getattr(node, "name", None)
+                if own is not None and defs.get(own) == path:
+                    refs |= _referenced_names(node) - {own}
+                else:
+                    refs |= _referenced_names(node)
+    return refs
+
+
+def test_every_public_definition_is_referenced():
+    defs = _definitions()
+    refs = _references(defs)
+    dead = sorted(
+        f"{path.relative_to(ROOT)}: {name}"
+        for name, path in defs.items()
+        if name not in refs and name not in ALLOWED
+    )
+    assert not dead, "no caller under src/, jobs/, benchmarks/ or perfbench/:\n" + "\n".join(dead)
+    # An allowlisted name that gained a caller or lost its definition leaves the list.
+    stale = sorted(n for n in ALLOWED if n not in defs or n in refs)
+    assert not stale, f"stale allowlist entries: {stale}"

@@ -55,10 +55,3 @@ class TestPairSimilarities:
             g = gamma_vector(profs[rec.vid_i], profs[rec.vid_j], profile_set.stats)
             got = np.array([getattr(rec, c) for c in GAMMA_NAMES])
             np.testing.assert_allclose(got, g, rtol=1e-9, atol=1e-12)
-
-    def test_max_pairs_cap(self, spark, profile_set):
-        capped = pair_similarities(
-            profile_set.profiles, profile_set.stats, max_pairs_per_name=3
-        )
-        counts = capped.groupBy("name").count().toPandas()
-        assert (counts["count"] <= 3).all()
