@@ -1,4 +1,10 @@
-"""Dev smoke: run IUAD end-to-end on a small corpus and print stage metrics."""
+"""Dev smoke: run IUAD end-to-end on a small corpus and print stage metrics.
+
+    python scripts/smoke_pipeline.py [sf] [eta] [delta]
+
+The first line is ``run_iuad``'s wall time and Spark job count, both
+including materialising the GCN assignments.
+"""
 import os
 import sys
 import time
@@ -15,6 +21,7 @@ from repro.core.pipeline import gcn_assignments, run_iuad, scn_only_assignments 
 from repro.dblp.generator import generate  # noqa: E402
 from repro.dblp.testing import testing_occurrences, testing_set  # noqa: E402
 from repro.eval.metrics import confusion  # noqa: E402
+from repro.obs import spark_jobs  # noqa: E402
 
 
 def main() -> None:
@@ -31,8 +38,10 @@ def main() -> None:
     c = generate(sf=sf, seed=7)
     papers = c.to_spark(spark).cache()
     t0 = time.time()
-    model = run_iuad(spark, papers, eta=eta, delta=delta, seed=0)
-    print("pipeline t", round(time.time() - t0, 1), flush=True)
+    with spark_jobs(spark.sparkContext) as jc:
+        model = run_iuad(spark, papers, eta=eta, delta=delta, seed=0)
+        model.gcn.assignments.count()
+    print("pipeline t", round(time.time() - t0, 1), "jobs", jc.jobs, flush=True)
     print("EM p:", round(model.params.p, 4), "iters", model.params.n_iter)
     for f, fp in model.params.features.items():
         print(

@@ -53,7 +53,7 @@ def run_iuad(
     score.
     """
     scn = build_scn(papers, eta=eta)
-    ps = build_profiles(spark, papers, scn)
+    ps = build_profiles(papers, scn)
     profiles = ps.profiles
     pairs = pair_similarities(profiles, ps.stats).localCheckpoint(eager=False)
 
@@ -66,7 +66,7 @@ def run_iuad(
     if len(X):
         prolific = (
             profiles.where(F.col("n_papers") >= 6)
-            .orderBy(F.desc("n_papers"))
+            .orderBy(F.desc("n_papers"), "vertex_id")
             .limit(2000)
             .collect()
         )

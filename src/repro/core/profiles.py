@@ -4,13 +4,20 @@ One row per SCN vertex with venue/keyword/WL/triangle summaries. The heavy
 lifting (joins, groupBys, WL refinement, triangle listing) is Catalyst
 dataflow; the result is compact enough to group by name for per-partition
 pair scoring, or to collect per name for incremental judgement.
+
+Dataflow: each occurrence meets its paper's venue, year and keyword list
+in one join on ``paper_id``; one shuffle on ``vertex_id`` then feeds the
+venue and keyword aggregates, and the WL and triangle features arrive
+grouped by vertex too, so assembling a profile row needs no further
+shuffle. The corpus statistics (FB, FH and the word-vector vocabulary,
+which is FB) come back in one driver collect.
 """
 from __future__ import annotations
 
 import dataclasses
 
 import numpy as np
-from pyspark.sql import DataFrame, SparkSession
+from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
 from repro.core.gammas import ALPHA, CorpusStats, Profile
@@ -40,54 +47,63 @@ def _empty(col, typ):
     return F.coalesce(col, F.array().cast(typ))
 
 
-def build_profiles(spark: SparkSession, papers: DataFrame, scn: SCN) -> ProfileSet:
+def build_profiles(papers: DataFrame, scn: SCN) -> ProfileSet:
     """Aggregate per-vertex profiles from the SCN and the paper database."""
+    # Read by the profile rows, the corpus statistics and the word vectors.
     kw = keywords(papers).cache()
-    asg = scn.assignments.cache()
-    meta = papers.select("paper_id", "venue", "year")
-    base = asg.join(meta, "paper_id").cache()
-
-    n_papers = base.groupBy("name", "vertex_id").agg(
-        F.countDistinct("paper_id").alias("n_papers")
+    per_paper = papers.select("paper_id", "venue", "year").join(
+        kw.groupBy("paper_id").agg(F.collect_list("keyword").alias("kws")), "paper_id", "left"
     )
-
-    ven = (
-        base.groupBy("vertex_id", "venue")
-        .agg(F.count("*").alias("cnt"))
-        .groupBy("vertex_id")
+    # One fact per (occurrence, venue) and per (occurrence, keyword), so
+    # venues and keywords share one shuffle by vertex and one aggregation.
+    fact = lambda key, is_kw: F.struct(  # noqa: E731
+        key.alias("key"), F.lit(is_kw).alias("is_kw"), F.col("year").alias("year")
+    )
+    facts = (
+        scn.assignments.select("paper_id", "name", "vertex_id")
+        .join(per_paper, "paper_id")
+        .select(
+            "name",
+            "vertex_id",
+            F.explode(
+                F.concat(
+                    F.array(fact(F.col("venue"), False)),
+                    F.transform(_empty(F.col("kws"), "array<string>"), lambda k: fact(k, True)),
+                )
+            ).alias("f"),
+        )
+        .select("name", "vertex_id", "f.*")
+        .repartition("vertex_id")
+    )
+    per_key = facts.groupBy("name", "vertex_id", "is_kw", "key").agg(
+        F.count("*").alias("cnt"), F.min("year").alias("miny"), F.max("year").alias("maxy")
+    )
+    on_venue = lambda c: F.when(~F.col("is_kw"), c)  # noqa: E731
+    on_kw = lambda c: F.when(F.col("is_kw"), c)  # noqa: E731
+    vertex_rows = (
+        per_key.groupBy("name", "vertex_id")
         .agg(
-            F.sort_array(F.collect_list(F.struct("venue", "cnt"))).alias("vc"),
-            F.max(F.struct("cnt", "venue")).alias("modal"),
+            # A vertex holds one occurrence per paper: one venue fact each.
+            F.sum(on_venue(F.col("cnt"))).alias("n_papers"),
+            F.sort_array(F.collect_list(on_venue(F.struct("key", "cnt")))).alias("vc"),
+            F.max(on_venue(F.struct("cnt", "key"))).alias("modal"),
+            F.sort_array(F.collect_list(on_kw(F.struct("key", "cnt", "miny", "maxy")))).alias("ks"),
         )
         .select(
+            "name",
             "vertex_id",
-            F.col("vc.venue").alias("venue_names"),
+            "n_papers",
+            F.col("vc.key").alias("venue_names"),
             F.col("vc.cnt").alias("venue_counts"),
-            F.col("modal.venue").alias("modal_venue"),
-        )
-    )
-
-    kwa = (
-        base.join(kw, "paper_id")
-        .groupBy("vertex_id", "keyword")
-        .agg(
-            F.count("*").alias("cnt"),
-            F.min("year").alias("miny"),
-            F.max("year").alias("maxy"),
-        )
-        .groupBy("vertex_id")
-        .agg(F.sort_array(F.collect_list(F.struct("keyword", "cnt", "miny", "maxy"))).alias("ks"))
-        .select(
-            "vertex_id",
-            F.col("ks.keyword").alias("kw"),
+            F.col("modal.key").alias("modal_venue"),
+            F.col("ks.key").alias("kw"),
             F.col("ks.cnt").alias("kw_counts"),
             F.col("ks.miny").cast("array<int>").alias("kw_min_year"),
             F.col("ks.maxy").cast("array<int>").alias("kw_max_year"),
         )
     )
 
-    vertices = asg.select("vertex_id", "name").dropDuplicates(["vertex_id"])
-    wl = wl_features(scn.edges, vertices)
+    wl = wl_features(scn.edges, scn.assignments.select("vertex_id", "name"))
 
     # Triangle sets, keyed by the *names* of the other two corners so that
     # two same-name vertices can share a triangle literal.
@@ -110,21 +126,19 @@ def build_profiles(spark: SparkSession, papers: DataFrame, scn: SCN) -> ProfileS
     )
 
     prof = (
-        n_papers.join(ven, "vertex_id", "left")
-        .join(kwa, "vertex_id", "left")
-        .join(wl, "vertex_id", "left")
+        vertex_rows.join(wl, "vertex_id", "left")
         .join(tri, "vertex_id", "left")
         .select(
             "name",
             "vertex_id",
             "n_papers",
-            _empty(F.col("venue_names"), "array<string>").alias("venue_names"),
-            _empty(F.col("venue_counts"), "array<long>").alias("venue_counts"),
+            "venue_names",
+            "venue_counts",
             "modal_venue",
-            _empty(F.col("kw"), "array<string>").alias("kw"),
-            _empty(F.col("kw_counts"), "array<long>").alias("kw_counts"),
-            _empty(F.col("kw_min_year"), "array<int>").alias("kw_min_year"),
-            _empty(F.col("kw_max_year"), "array<int>").alias("kw_max_year"),
+            "kw",
+            "kw_counts",
+            "kw_min_year",
+            "kw_max_year",
             _empty(F.col("wl_labels"), "array<string>").alias("wl_labels"),
             _empty(F.col("wl_counts"), "array<double>").alias("wl_counts"),
             F.coalesce("wl_norm", F.lit(0.0)).alias("wl_norm"),
@@ -132,12 +146,20 @@ def build_profiles(spark: SparkSession, papers: DataFrame, scn: SCN) -> ProfileS
         )
     ).localCheckpoint(eager=False)  # truncate the WL/triangle join lineage
 
-    fb = {r["keyword"]: r["fb"] for r in keyword_frequencies(kw).collect()}
-    fh = {
-        r["venue"]: r["n"]
-        for r in papers.groupBy("venue").agg(F.countDistinct("paper_id").alias("n")).collect()
-    }
-    wv = word_vectors(kw)
+    # FB, FH and the vocabulary counts (FB again) in one collect; papers are
+    # unique by paper_id, so FH is a plain count.
+    counts = (
+        keyword_frequencies(kw)
+        .select(F.lit(True).alias("is_kw"), F.col("keyword").alias("key"), F.col("fb").alias("n"))
+        .unionByName(
+            papers.groupBy("venue").agg(F.count("*").alias("n"))
+            .select(F.lit(False).alias("is_kw"), F.col("venue").alias("key"), "n")
+        )
+        .collect()
+    )
+    fb = {r["key"]: r["n"] for r in counts if r["is_kw"]}
+    fh = {r["key"]: r["n"] for r in counts if not r["is_kw"]}
+    wv = word_vectors(kw, fb)
     vecs = {k: np.asarray(v) for k, v in zip(wv["keyword"], wv["vec"])}
     dim = len(next(iter(vecs.values()))) if vecs else 0
     stats = CorpusStats(fb=fb, fh=fh, word_vectors=vecs, dim=dim, alpha=ALPHA)

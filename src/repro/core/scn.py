@@ -9,9 +9,16 @@ partners of x are grouped by connected components of the *partner graph*
 (edges = SCRs among partners); each component is one SCN vertex named x.
 Occurrences covered by no SCR in their paper stay singleton vertices.
 
-Everything is DataFrame dataflow keyed by name / paper_id; the only local
-computation is the per-name union–find inside ``applyInPandas``
-(``repro.graph.components``).
+Dataflow, one shuffle per step:
+
+* name pairs are generated in-row from each co-author list (a double
+  ``explode``), so SCR mining is a single aggregation;
+* partner pairs are generated in-row from each name's partner list and
+  closed against the SCRs by one join; the per-name union–find runs inside
+  ``applyInPandas`` (``repro.graph.components``);
+* the vote joins every occurrence, co-author list in hand, with its name's
+  partner → component map and picks the winning component in-row, so
+  singletons fall out of the same pass.
 """
 from __future__ import annotations
 
@@ -51,18 +58,23 @@ def occurrences(papers: DataFrame) -> DataFrame:
     return papers.select("paper_id", F.explode("names").alias("name"))
 
 
+def _pairs_in_row(df: DataFrame, items: str, a: str, b: str, *keep: str) -> DataFrame:
+    """(*keep, a, b): every ordered pair of slots of the array column
+    ``items``, generated within the row by a double ``explode``."""
+    return df.select(*keep, items, F.explode(items).alias(a)).select(
+        *keep, a, F.explode(items).alias(b)
+    )
+
+
 def mine_scrs(papers: DataFrame, *, eta: int = 2) -> DataFrame:
     """η-SCRs by direct pair counting: (a, b, cnt) with a < b, cnt >= eta.
 
     Equivalent to FP-growth restricted to 2-itemsets (tested against
-    ``mine_scrs_fpgrowth`` and a DuckDB oracle); a single shuffle join +
-    aggregation is the efficient dataflow for the 2-itemset case.
+    ``mine_scrs_fpgrowth`` and a DuckDB oracle): the pairs come from each
+    co-author list in-row, so one aggregation shuffle does all the work.
     """
-    occ = occurrences(papers)
-    a = occ.select("paper_id", F.col("name").alias("a"))
-    b = occ.select("paper_id", F.col("name").alias("b"))
     return (
-        a.join(b, "paper_id")
+        _pairs_in_row(papers, "names", "a", "b")
         .where(F.col("a") < F.col("b"))
         .groupBy("a", "b")
         .agg(F.count("*").alias("cnt"))
@@ -103,19 +115,19 @@ def partner_components(scrs: DataFrame) -> DataFrame:
         F.col("a").alias("name"), F.col("b").alias("partner")
     ).unionByName(scrs.select(F.col("b").alias("name"), F.col("a").alias("partner")))
 
-    p1 = partners.select("name", F.col("partner").alias("u"))
-    p2 = partners.select("name", F.col("partner").alias("v"))
-    partner_pairs = p1.join(p2, "name").where(F.col("u") < F.col("v"))
-    scr_edges = scrs.select(F.col("a").alias("u"), F.col("b").alias("v"))
-    partner_edges = partner_pairs.join(scr_edges, ["u", "v"])
-
-    comp = components_per_group(partner_edges, key="name", u="u", v="v").select(
-        "name", F.col("node").alias("partner"), "component"
+    # Candidate partner edges: pairs of one name's partners, closed by an SCR.
+    lists = partners.groupBy("name").agg(F.collect_list("partner").alias("partners"))
+    partner_edges = (
+        _pairs_in_row(lists, "partners", "u", "v", "name")
+        .where(F.col("u") < F.col("v"))
+        .join(scrs.select(F.col("a").alias("u"), F.col("b").alias("v")), ["u", "v"])
     )
-    return (
-        partners.join(comp, ["name", "partner"], "left")
-        .withColumn("component", F.coalesce("component", "partner"))
-    )
+    # A self-loop per partner puts isolated partners into the union–find as
+    # their own component.
+    loops = partners.select("name", F.col("partner").alias("u"), F.col("partner").alias("v"))
+    return components_per_group(
+        partner_edges.unionByName(loops), key="name", u="u", v="v"
+    ).select("name", F.col("node").alias("partner"), "component")
 
 
 def scr_vertex_id(name_col, comp_col):
@@ -123,89 +135,68 @@ def scr_vertex_id(name_col, comp_col):
     return F.concat(name_col, F.lit(VSEP), comp_col)
 
 
+def _vote(names, comp_of):
+    """The winning component of one occurrence, or null if none of its
+    co-authors is an SCR partner: the component with the most stable
+    partners in ``names``; ties break to the largest component label."""
+    votes = F.filter(F.transform(names, lambda y: comp_of[y]), lambda c: c.isNotNull())
+    tally = F.transform(
+        F.array_distinct(votes),
+        lambda c: F.struct(
+            F.size(F.filter(votes, lambda d: d == c)).alias("votes"), c.alias("component")
+        ),
+    )
+    return F.array_max(tally)["component"]
+
+
 def build_scn(papers: DataFrame, *, eta: int = 2) -> SCN:
     """Construct the SCN from a paper database (Algorithm 1, lines 2–5)."""
-    scrs = mine_scrs(papers, eta=eta).cache()
-    pc = partner_components(scrs).cache()
-    occ = occurrences(papers)
+    scrs = mine_scrs(papers, eta=eta)
+    # Read by the vote and by the edges below: materialised once.
+    pc = partner_components(scrs).localCheckpoint()
 
-    # Stable co-presence: occurrence (p, x) together with partner y in the
-    # same co-author list where (x, y) is an SCR.
-    o1 = occ.select("paper_id", F.col("name").alias("x"))
-    o2 = occ.select("paper_id", F.col("name").alias("y"))
-    copresent = o1.join(o2, "paper_id").where(F.col("x") != F.col("y"))
-    scr_pairs = scrs.select(F.col("a").alias("x"), F.col("b").alias("y")).unionByName(
-        scrs.select(F.col("b").alias("x"), F.col("a").alias("y"))
+    # Vote: each occurrence (p, x) looks up, in x's partner → component map,
+    # every co-author of p; the majority component is its vertex.
+    comp_of = pc.groupBy("name").agg(
+        F.map_from_entries(F.collect_list(F.struct("partner", "component"))).alias("comp_of")
     )
-    stable_co = copresent.join(scr_pairs, ["x", "y"])
-
-    # Vote: an occurrence goes to the partner-component with the most stable
-    # partners present in this paper; ties break to the smallest component
-    # label (deterministic).
-    voted = (
-        stable_co.join(
-            pc.select(F.col("name").alias("x"), F.col("partner").alias("y"), "component"),
-            ["x", "y"],
-        )
-        .groupBy("paper_id", "x", "component")
-        .agg(F.count("*").alias("votes"))
+    top = (
+        papers.select("paper_id", "names", F.explode("names").alias("name"))
+        .join(comp_of, "name", "left")
+        .select("paper_id", "name", _vote(F.col("names"), F.col("comp_of")).alias("top"))
     )
-    # Deterministic reduction: max over (votes, component) struct picks the
-    # highest vote count, breaking ties to the largest component label.
-    best = (
-        voted.groupBy("paper_id", "x")
-        .agg(F.max(F.struct(F.col("votes"), F.col("component"))).alias("top"))
-        .select(
-            "paper_id",
-            "x",
-            F.col("top.component").alias("component"),
-        )
-    )
-
-    assigned = best.select(
+    # localCheckpoint truncates the lineage that profiles, WL and pair
+    # scoring build on. Under AQE it runs every upstream shuffle stage now,
+    # eager or not; only the final stage waits for the first reader.
+    assignments = top.select(
         "paper_id",
-        F.col("x").alias("name"),
-        scr_vertex_id(F.col("x"), F.col("component")).alias("vertex_id"),
-        F.lit(True).alias("stable"),
-    )
-
-    singles = (
-        occ.join(assigned.select("paper_id", "name"), ["paper_id", "name"], "left_anti")
-        .select(
-            "paper_id",
-            "name",
-            F.concat(F.col("name"), F.lit(SSEP), F.col("paper_id").cast("string")).alias(
-                "vertex_id"
-            ),
-            F.lit(False).alias("stable"),
-        )
-    )
-    # localCheckpoint truncates the join-heavy lineage: downstream stages
-    # (profiles, WL, pair scoring) otherwise accumulate a plan tree large
-    # enough to OOM the driver when Spark renders it.
-    assignments = assigned.unionByName(singles).localCheckpoint(eager=False)
+        "name",
+        F.coalesce(
+            scr_vertex_id(F.col("name"), F.col("top")),
+            F.concat(F.col("name"), F.lit(SSEP), F.col("paper_id").cast("string")),
+        ).alias("vertex_id"),
+        F.col("top").isNotNull().alias("stable"),
+    ).localCheckpoint(eager=False)
 
     # SCN edges: SCR (a, b) links a's vertex containing b with b's vertex
-    # containing a.
-    pa = pc.select(
-        F.col("name").alias("a"), F.col("partner").alias("b"),
-        scr_vertex_id(F.col("name"), F.col("component")).alias("u"),
-    )
-    pb = pc.select(
-        F.col("name").alias("b"), F.col("partner").alias("a"),
-        scr_vertex_id(F.col("name"), F.col("component")).alias("v"),
-    )
-    edges = scrs.join(pa, ["a", "b"]).join(pb, ["a", "b"]).select("u", "v", "cnt")
-    # The majority vote above can leave a vertex paperless (every paper that
-    # backs its SCR voted for a larger component of the same name); edges to
-    # such phantom vertices would distort WL/triangle features, so keep only
-    # edges between vertices that actually received occurrences.
-    live = assignments.select("vertex_id").distinct()
+    # containing a. The majority vote can leave a vertex paperless (every
+    # paper that backs its SCR voted for a larger component of the same
+    # name); edges to such phantom vertices would distort WL/triangle
+    # features, so both ends must have received occurrences. Each SCR has
+    # one half-edge per end: the vertex of that end's name holding the other.
+    half = pc.select(
+        F.least("name", "partner").alias("a"),
+        F.greatest("name", "partner").alias("b"),
+        "name",
+        scr_vertex_id(F.col("name"), F.col("component")).alias("vertex_id"),
+    ).join(assignments.select("vertex_id"), "vertex_id", "left_semi")
+    end = lambda side: F.max(F.when(F.col("name") == F.col(side), F.col("vertex_id")))  # noqa: E731
     edges = (
-        edges.join(live.withColumnRenamed("vertex_id", "u"), "u")
-        .join(live.withColumnRenamed("vertex_id", "v"), "v")
+        half.groupBy("a", "b")
+        .agg(end("a").alias("u"), end("b").alias("v"))
+        .join(scrs, ["a", "b"])
+        .where(F.col("u").isNotNull() & F.col("v").isNotNull())
         .select("u", "v", "cnt")
         .localCheckpoint(eager=False)
     )
-
     return SCN(scrs=scrs, assignments=assignments, edges=edges)

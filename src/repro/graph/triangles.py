@@ -3,9 +3,11 @@
 Used twice by IUAD: (i) the stable-triangle rule during SCN construction is
 a *per-name* local check (handled in ``core.scn``); (ii) the co-author
 clique coincidence ratio γ₂ needs, for every SCN vertex, the set of
-triangles it participates in. This module lists triangles globally with the
-standard two-join dataflow on canonically ordered edges — pure Catalyst,
-shuffle joins (broadcast is disabled session-wide).
+triangles it participates in. This module lists triangles globally in
+adjacency-list form: one shuffle by the smaller endpoint deduplicates the
+edges and gives every vertex the list of its larger neighbours, then one
+join on the neighbour closes each wedge by a list intersection — two
+shuffles, pure Catalyst (broadcast is disabled session-wide).
 """
 from __future__ import annotations
 
@@ -14,14 +16,16 @@ from pyspark.sql import functions as F
 
 
 def canonical_edges(edges: DataFrame, *, u: str = "u", v: str = "v") -> DataFrame:
-    """Undirected edge list with u < v, deduplicated, self-loops dropped."""
+    """Undirected edge list with u < v, deduplicated, self-loops dropped.
+
+    Hash-partitioned by ``u``, so grouping the result by ``u`` needs no
+    further shuffle.
+    """
     a, b = F.col(u), F.col(v)
     return (
-        edges.select(
-            F.least(a, b).alias("u"),
-            F.greatest(a, b).alias("v"),
-        )
+        edges.select(F.least(a, b).alias("u"), F.greatest(a, b).alias("v"))
         .where(F.col("u") != F.col("v"))
+        .repartition("u")
         .dropDuplicates(["u", "v"])
     )
 
@@ -29,14 +33,19 @@ def canonical_edges(edges: DataFrame, *, u: str = "u", v: str = "v") -> DataFram
 def triangles(edges: DataFrame, *, u: str = "u", v: str = "v") -> DataFrame:
     """All triangles (a < b < c) in the undirected graph.
 
-    Two shuffle joins: wedges a-b-c from (a,b)x(b,c), closed by (a,c).
+    Each wedge a → b (b a larger neighbour of a) is joined with b's row of
+    larger neighbours; every c larger than both and adjacent to both
+    closes a triangle, so each triangle is listed once, from its smallest
+    corner.
     """
-    e = canonical_edges(edges, u=u, v=v).cache()
-    e1 = e.select(F.col("u").alias("a"), F.col("v").alias("b"))
-    e2 = e.select(F.col("u").alias("b"), F.col("v").alias("c"))
-    wedges = e1.join(e2, "b").select("a", "b", "c")
-    closing = e.select(F.col("u").alias("a"), F.col("v").alias("c"))
-    return wedges.join(closing, ["a", "c"]).select("a", "b", "c")
+    fwd = canonical_edges(edges, u=u, v=v).groupBy("u").agg(F.collect_list("v").alias("out"))
+    wedges = fwd.select(
+        F.col("u").alias("a"), F.explode("out").alias("b"), F.col("out").alias("out_a")
+    )
+    return (
+        wedges.join(fwd.select(F.col("u").alias("b"), F.col("out").alias("out_b")), "b")
+        .select("a", "b", F.explode(F.array_intersect("out_a", "out_b")).alias("c"))
+    )
 
 
 def vertex_triangles(edges: DataFrame, *, u: str = "u", v: str = "v") -> DataFrame:
@@ -45,9 +54,6 @@ def vertex_triangles(edges: DataFrame, *, u: str = "u", v: str = "v") -> DataFra
     γ₂ compares triangle *sets* of two vertices; this exploded form joins
     directly against vertex ids.
     """
-    tri = triangles(edges, u=u, v=v)
-    return (
-        tri.select(F.col("a").alias("node"), "a", "b", "c")
-        .unionByName(tri.select(F.col("b").alias("node"), "a", "b", "c"))
-        .unionByName(tri.select(F.col("c").alias("node"), "a", "b", "c"))
+    return triangles(edges, u=u, v=v).select(
+        F.explode(F.array("a", "b", "c")).alias("node"), "a", "b", "c"
     )

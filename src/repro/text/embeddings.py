@@ -7,10 +7,13 @@ PMI → SVD. This preserves the property γ₃ relies on — cosine similarity
 reflects topical relatedness — and is the classic count-based equivalent of
 Word2Vec (Levy & Goldberg 2014 show SGNS factorises shifted PMI).
 
-Co-occurrence counting is Spark dataflow (self-join per paper); the PPMI/SVD
-factorisation of the small vocab×vocab matrix runs in numpy on the driver.
+Co-occurrence counting is Spark dataflow (keyword pairs generated in-row
+from each paper's keyword list); the PPMI/SVD factorisation of the small
+vocab×vocab matrix runs in numpy on the driver.
 """
 from __future__ import annotations
+
+from typing import Mapping
 
 import numpy as np
 import pandas as pd
@@ -22,26 +25,26 @@ MAX_VOCAB = 6000
 
 def cooccurrence(kw: DataFrame) -> DataFrame:
     """(w1, w2, cnt) for unordered keyword pairs sharing a title (w1 < w2)."""
-    a = kw.select("paper_id", F.col("keyword").alias("w1"))
-    b = kw.select("paper_id", F.col("keyword").alias("w2"))
+    titles = kw.groupBy("paper_id").agg(F.collect_list("keyword").alias("kws"))
     return (
-        a.join(b, "paper_id")
+        titles.select("kws", F.explode("kws").alias("w1"))
+        .select("w1", F.explode("kws").alias("w2"))
         .where(F.col("w1") < F.col("w2"))
         .groupBy("w1", "w2")
         .agg(F.count("*").alias("cnt"))
     )
 
 
-def word_vectors(kw: DataFrame, *, dim: int = 64) -> pd.DataFrame:
+def word_vectors(kw: DataFrame, counts: Mapping[str, int], *, dim: int = 64) -> pd.DataFrame:
     """Dense word vectors for every keyword; columns ``keyword, vec``.
 
-    Vocabulary is capped at the MAX_VOCAB most frequent keywords; words
-    outside the cap get no vector (γ₃ averages over covered words only).
+    ``counts`` maps every keyword of ``kw`` to its number of papers (FB,
+    which the caller fetches with the other corpus statistics). Vocabulary
+    is capped at the MAX_VOCAB most frequent keywords, ties by keyword;
+    words outside the cap get no vector (γ₃ averages over covered words
+    only).
     """
-    counts = (
-        kw.groupBy("keyword").agg(F.count("*").alias("n")).orderBy(F.desc("n"))
-    )
-    vocab = [r["keyword"] for r in counts.limit(MAX_VOCAB).collect()]
+    vocab = sorted(counts, key=lambda w: (-counts[w], w))[:MAX_VOCAB]
     index = {w: i for i, w in enumerate(vocab)}
     V = len(vocab)
     if V == 0:

@@ -25,20 +25,18 @@ def keywords(papers: DataFrame, *, top_frequent_cut: float = 0.02) -> DataFrame:
 
     ``top_frequent_cut``: tokens appearing in more than this fraction of
     papers are dropped (the paper excludes "the frequent words in paper
-    titles"; generic filler words carry no interest signal).
+    titles"; generic filler words carry no interest signal). One shuffle:
+    each token collects the set of papers it appears in, whose size is its
+    document frequency.
     """
     toks = title_tokens(papers)
     toks = toks.where(~F.col("token").isin(*sorted(set(STOPWORDS))))
     n_papers = papers.count()
-    doc_freq = (
-        toks.groupBy("token")
-        .agg(F.countDistinct("paper_id").alias("df"))
-        .where(F.col("df") <= top_frequent_cut * n_papers)
-    )
     return (
-        toks.join(doc_freq.select("token"), "token")
-        .select("paper_id", F.col("token").alias("keyword"))
-        .dropDuplicates(["paper_id", "keyword"])
+        toks.groupBy("token")
+        .agg(F.collect_set("paper_id").alias("papers"))
+        .where(F.size("papers") <= top_frequent_cut * n_papers)
+        .select(F.explode("papers").alias("paper_id"), F.col("token").alias("keyword"))
     )
 
 

@@ -57,10 +57,10 @@ def scn(papers_df):
 
 
 @pytest.fixture(scope="session")
-def profile_set(spark, papers_df, scn):
+def profile_set(papers_df, scn):
     from repro.core.profiles import build_profiles
 
-    ps = build_profiles(spark, papers_df, scn)
+    ps = build_profiles(papers_df, scn)
     ps.profiles.cache().count()
     return ps
 

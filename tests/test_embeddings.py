@@ -6,7 +6,11 @@ import pytest
 from repro.baselines.embed import local_keywords, local_word_vectors
 from repro.dblp.generator import PAPER_SCHEMA
 from repro.text.embeddings import cooccurrence, word_vectors
-from repro.text.keywords import keywords
+from repro.text.keywords import keyword_frequencies, keywords
+
+
+def fb(kw) -> dict:
+    return {r.keyword: r.fb for r in keyword_frequencies(kw).collect()}
 
 
 @pytest.fixture(scope="module")
@@ -33,7 +37,7 @@ class TestSparkEmbeddings:
 
     def test_topical_words_closer_than_cross_topic(self, spark, topic_papers):
         kw = keywords(topic_papers, top_frequent_cut=1.0)
-        wv = word_vectors(kw, dim=8)
+        wv = word_vectors(kw, fb(kw), dim=8)
         vecs = dict(zip(wv.keyword, wv.vec))
         cos = lambda a, b: float(  # noqa: E731
             np.dot(a, b) / (np.linalg.norm(a) * np.linalg.norm(b) + 1e-12)
@@ -44,7 +48,7 @@ class TestSparkEmbeddings:
 
     def test_all_keywords_covered(self, spark, topic_papers):
         kw = keywords(topic_papers, top_frequent_cut=1.0)
-        wv = word_vectors(kw, dim=8)
+        wv = word_vectors(kw, fb(kw), dim=8)
         got = set(wv.keyword)
         expect = {r.keyword for r in kw.select("keyword").distinct().collect()}
         assert got == expect
@@ -56,7 +60,7 @@ class TestSparkEmbeddings:
             schema=PAPER_SCHEMA,
         )
         kw = keywords(empty, top_frequent_cut=1.0)
-        assert len(word_vectors(kw)) == 0
+        assert len(word_vectors(kw, fb(kw))) == 0
 
 
 class TestLocalEmbeddings:

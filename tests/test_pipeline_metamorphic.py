@@ -1,0 +1,69 @@
+"""The GCN is a function of the input papers and the config alone, and a
+run stays within its Spark job budget.
+
+Each test runs the full pipeline on the session corpus once more, so these
+are the slowest tests in the suite.
+"""
+import pytest
+
+from repro.core.pipeline import run_iuad
+from repro.dblp.generator import PAPER_SCHEMA
+from repro.obs import spark_jobs
+
+from .conftest import ETA
+
+#: Spark jobs one ``run_iuad`` may fire on the session corpus, including
+#: materialising the GCN assignments.
+JOB_BUDGET = 60
+
+
+def partition(model) -> frozenset:
+    """The GCN clustering with vertex labels erased: a set of clusters,
+    each the set of its (paper_id, name) occurrences."""
+    asg = model.gcn.assignments.select("paper_id", "name", "gcn_vertex").toPandas()
+    return frozenset(
+        frozenset(zip(g.paper_id.tolist(), g.name.tolist()))
+        for _, g in asg.groupby("gcn_vertex")
+    )
+
+
+def run(spark, papers):
+    return run_iuad(spark, papers, eta=ETA, delta=0.0, seed=0)
+
+
+@pytest.mark.spark
+@pytest.mark.slow
+class TestMetamorphic:
+    @pytest.fixture(scope="class")
+    def reference(self, model):
+        return partition(model)
+
+    @pytest.mark.parametrize("n", [4, 32])
+    def test_shuffle_partitions(self, spark, papers_df, reference, n):
+        key = "spark.sql.shuffle.partitions"
+        before = spark.conf.get(key)
+        spark.conf.set(key, str(n))
+        try:
+            got = partition(run(spark, papers_df))
+        finally:
+            spark.conf.set(key, before)
+        assert got == reference
+
+    def test_input_rows_permuted(self, spark, corpus, reference):
+        shuffled = corpus.papers.sample(frac=1.0, random_state=1).reset_index(drop=True)
+        assert not shuffled.paper_id.equals(corpus.papers.paper_id)
+        papers = spark.createDataFrame(shuffled, schema=PAPER_SCHEMA)
+        assert partition(run(spark, papers)) == reference
+
+
+@pytest.mark.spark
+@pytest.mark.slow
+def test_run_iuad_job_budget(spark, papers_df):
+    """Under AQE each shuffle stage is one Spark job, and at this scale a
+    run's wall time follows its job count. With Stage I and the profile
+    build shuffle-lean, a run fires 47 here; with self-joins on paper_id,
+    join chains for WL and triangles and one collect per corpus statistic
+    it fired 111."""
+    with spark_jobs(spark.sparkContext) as jc:
+        run(spark, papers_df).gcn.assignments.count()
+    assert jc.jobs <= JOB_BUDGET
