@@ -2,8 +2,10 @@
 
     python scripts/smoke_pipeline.py [sf] [eta] [delta]
 
-The first line is ``run_iuad``'s wall time and Spark job count, both
-including materialising the GCN assignments.
+η and δ default to ``repro.core.pipeline.ETA`` / ``DELTA``. The first line
+is ``run_iuad``'s wall time and Spark job count, both including
+materialising the GCN assignments; the EM line prints the log-likelihood
+of each iteration.
 """
 import os
 import sys
@@ -17,7 +19,7 @@ os.environ.setdefault(
 )
 from pyspark.sql import SparkSession  # noqa: E402
 
-from repro.core.pipeline import gcn_assignments, run_iuad, scn_only_assignments  # noqa: E402
+from repro.core.pipeline import DELTA, ETA, run_iuad, scn_only_assignments  # noqa: E402
 from repro.dblp.generator import generate  # noqa: E402
 from repro.dblp.testing import testing_occurrences, testing_set  # noqa: E402
 from repro.eval.metrics import confusion  # noqa: E402
@@ -26,8 +28,8 @@ from repro.obs import spark_jobs  # noqa: E402
 
 def main() -> None:
     sf = float(sys.argv[1]) if len(sys.argv) > 1 else 0.01
-    eta = int(sys.argv[2]) if len(sys.argv) > 2 else 3
-    delta = float(sys.argv[3]) if len(sys.argv) > 3 else 0.0
+    eta = int(sys.argv[2]) if len(sys.argv) > 2 else ETA
+    delta = float(sys.argv[3]) if len(sys.argv) > 3 else DELTA
     spark = (
         SparkSession.builder.appName("smoke")
         .config("spark.sql.shuffle.partitions", os.environ["SPARK_SHUFFLE_PARTITIONS"])
@@ -42,7 +44,8 @@ def main() -> None:
         model = run_iuad(spark, papers, eta=eta, delta=delta, seed=0)
         model.gcn.assignments.count()
     print("pipeline t", round(time.time() - t0, 1), "jobs", jc.jobs, flush=True)
-    print("EM p:", round(model.params.p, 4), "iters", model.params.n_iter)
+    print("EM p:", round(model.params.p, 4), "iters", model.params.n_iter,
+          "loglik", [round(ll, 2) for ll in model.params.loglik])
     for f, fp in model.params.features.items():
         print(
             " ", f, fp.dist,

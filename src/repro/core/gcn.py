@@ -12,8 +12,10 @@ import dataclasses
 
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
+from pyspark.sql.types import DoubleType, StructField, StructType
 
-from repro.core.em import EMParams, score_column
+from repro.core.em import EMParams, score_array
+from repro.core.gammas import GAMMA_NAMES
 from repro.graph.components import components_per_group
 
 
@@ -29,8 +31,16 @@ class GCN:
 
 
 def score_pairs(pairs: DataFrame, params: EMParams) -> DataFrame:
-    """Append the matching score column (per-partition posterior odds)."""
-    return pairs.withColumn("score", score_column(params))
+    """Append the matching score column: ``score_array`` over the γ columns
+    of each Arrow batch (per-partition posterior odds)."""
+
+    def score(batches):
+        for pdf in batches:
+            yield pdf.assign(score=score_array(pdf[list(GAMMA_NAMES)], params))
+
+    # A new StructType: ``schema.add`` would mutate the input frame's schema.
+    schema = StructType([*pairs.schema.fields, StructField("score", DoubleType())])
+    return pairs.mapInPandas(score, schema)
 
 
 def merge_mapping(pairs_scored: DataFrame, vertices: DataFrame, *, delta: float) -> DataFrame:

@@ -53,11 +53,6 @@ class SCN:
     edges: DataFrame
 
 
-def occurrences(papers: DataFrame) -> DataFrame:
-    """(paper_id, name) — one row per slot in a co-author list."""
-    return papers.select("paper_id", F.explode("names").alias("name"))
-
-
 def _pairs_in_row(df: DataFrame, items: str, a: str, b: str, *keep: str) -> DataFrame:
     """(*keep, a, b): every ordered pair of slots of the array column
     ``items``, generated within the row by a double ``explode``."""

@@ -1,9 +1,9 @@
-"""Stage II merging: thresholding, transitive closure, GCN assembly."""
+"""Stage II scoring and merging: thresholding, transitive closure, GCN assembly."""
+import numpy as np
 import pandas as pd
 import pytest
-from pyspark.sql import functions as F
 
-from repro.core.em import EMParams, FeatureParams
+from repro.core.em import EMParams, FeatureParams, fit_em, score_array
 from repro.core.gcn import build_gcn, merge_mapping, score_pairs
 from repro.core.gammas import GAMMA_NAMES
 
@@ -75,6 +75,21 @@ class TestScorePairs:
         )
         out = score_pairs(spark.createDataFrame(pdf), params).toPandas()
         assert out.loc[0, "score"] > out.loc[1, "score"]
+
+    def test_matches_score_array_exactly(self, spark):
+        """Batch and incremental scores come from one function: the Spark
+        path equals ``score_array`` bit for bit, and leaves its input's
+        schema alone."""
+        rng = np.random.default_rng(0)
+        X = np.abs(rng.normal(0.5, 0.5, size=(200, len(GAMMA_NAMES))))
+        params = fit_em(X, seed=0)
+        pdf = pd.DataFrame(X, columns=list(GAMMA_NAMES))
+        pdf.insert(0, "vid_i", [f"n#{i}" for i in range(len(pdf))])
+        pairs = spark.createDataFrame(pdf).repartition(3)
+        fields = list(pairs.schema.fields)
+        out = score_pairs(pairs, params).toPandas().set_index("vid_i").loc[pdf.vid_i]
+        assert list(pairs.schema.fields) == fields
+        assert np.array_equal(out.score.to_numpy(), score_array(X, params))
 
 
 @pytest.mark.spark

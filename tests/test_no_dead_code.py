@@ -1,11 +1,14 @@
 """Every public function and class of the pipeline packages has a caller.
 
 Parses ``src/repro/{core,graph,text}`` and looks for a reference to each
-public top-level function or class (a ``Name``, an ``Attribute`` or an
-import) anywhere under ``src/``, ``jobs/``, ``benchmarks/`` or
-``perfbench/``, outside its own definition. Tests do not count as callers:
-code that only tests reach is dead. Matching is on the syntax tree, so a
-name mentioned in a docstring or comment is not a reference.
+public top-level function or class anywhere under ``src/``, ``jobs/``,
+``benchmarks/`` or ``perfbench/``, outside its own definition. An
+``Attribute`` or an import counts anywhere; a bare ``Name`` counts only in
+the defining module (any other file that uses the name imports it, and the
+import counts), so a local variable that happens to share a function's name
+is not a caller. Tests do not count
+as callers: code that only tests reach is dead. Matching is on the syntax
+tree, so a name mentioned in a docstring or comment is not a reference.
 """
 import ast
 from pathlib import Path
@@ -37,10 +40,11 @@ def _definitions() -> dict[str, Path]:
     return defs
 
 
-def _referenced_names(node: ast.AST) -> set[str]:
+def _referenced_names(node: ast.AST, bare: set[str]) -> set[str]:
+    """Attributes and imported names, plus the bare ``Name``s in ``bare``."""
     out = set()
     for sub in ast.walk(node):
-        if isinstance(sub, ast.Name):
+        if isinstance(sub, ast.Name) and sub.id in bare:
             out.add(sub.id)
         elif isinstance(sub, ast.Attribute):
             out.add(sub.attr)
@@ -55,12 +59,13 @@ def _references(defs: dict[str, Path]) -> set[str]:
     refs = set()
     for d in CALLER_DIRS:
         for path in sorted((ROOT / d).rglob("*.py")):
+            bare = {n for n, p in defs.items() if p == path}
             for node in _parse(path).body:
                 own = getattr(node, "name", None)
                 if own is not None and defs.get(own) == path:
-                    refs |= _referenced_names(node) - {own}
+                    refs |= _referenced_names(node, bare) - {own}
                 else:
-                    refs |= _referenced_names(node)
+                    refs |= _referenced_names(node, bare)
     return refs
 
 

@@ -8,6 +8,8 @@ import numpy as np
 import pytest
 from pyspark.sql import functions as F
 
+from repro.core.em import score_array
+from repro.core.gammas import GAMMA_NAMES
 from repro.core.pipeline import gcn_assignments, scn_only_assignments
 from repro.eval.metrics import confusion
 
@@ -76,6 +78,14 @@ class TestModelInvariants:
     def test_scores_finite(self, model):
         pdf = model.pairs.select("score").toPandas()
         assert np.isfinite(pdf.score).all()
+
+    def test_scores_are_score_array(self, model):
+        """Batch pairs and streamed papers share one score: every pair's
+        score is ``score_array`` of its γ columns, bit for bit."""
+        pdf = model.pairs.toPandas()
+        assert np.array_equal(
+            pdf.score.to_numpy(), score_array(pdf[list(GAMMA_NAMES)], model.params)
+        )
 
     def test_recovered_edges_symmetric_canonical(self, model):
         assert model.gcn.edges.where(F.col("u") >= F.col("v")).count() == 0

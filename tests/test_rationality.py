@@ -22,11 +22,10 @@ def scored_frames(spark, model, truth_occ):
 
 def single_feature_merge(pairs, asg, truth_occ, feat, delta=0.0, seed=0):
     """Merge using only one similarity function, locally."""
-    from repro.core.em import DEFAULT_DISTS
     from repro.graph.components import UnionFind
 
     X = pairs[[feat]].to_numpy()
-    params = fit_em(X, feats=[feat], dists={feat: DEFAULT_DISTS[feat]}, seed=seed)
+    params = fit_em(X, feats=[feat], seed=seed)
     scores = score_array(X, params, feats=[feat])
     uf = UnionFind()
     for v in asg.vertex_id.unique():

@@ -17,7 +17,6 @@ from repro.core.scn import (
     build_scn,
     mine_scrs,
     mine_scrs_fpgrowth,
-    occurrences,
     partner_components,
 )
 from repro.graph.components import UnionFind
@@ -64,7 +63,7 @@ def reference_scn(papers_pdf: pd.DataFrame, eta: int):
 class TestMineScrs:
     def test_pair_counts_match_duckdb(self, spark, tiny_papers):
         """Oracle: the explode/self-join/groupBy dataflow equals SQL."""
-        occ = occurrences(tiny_papers)
+        occ = tiny_papers.select("paper_id", F.explode("names").alias("name"))
         pairs = mine_scrs(tiny_papers, eta=1)
         assert_equivalent(
             pairs.select("a", "b", F.col("cnt").cast("long").alias("cnt")),
@@ -161,7 +160,8 @@ class TestScnOnCorpus:
         assert got == ref_assign
 
     def test_every_occurrence_assigned_once(self, spark, corpus, scn):
-        occ = occurrences(spark.createDataFrame(corpus.papers[["paper_id", "names"]]))
+        papers = spark.createDataFrame(corpus.papers[["paper_id", "names"]])
+        occ = papers.select("paper_id", F.explode("names").alias("name"))
         n_occ = occ.count()
         asg = scn.assignments
         assert asg.count() == n_occ
