@@ -5,9 +5,9 @@ per target name they embed that name's papers and cluster them. Their
 reference implementations use various network/word embeddings that are not
 reproducible offline; we build the same three views from corpus statistics:
 
-* **title view** — mean of PPMI+SVD word vectors of title keywords (the
-  same factorisation family as ``repro.text.embeddings``, computed locally
-  because the baselines are timed as driver-side algorithms);
+* **title view** — mean of PPMI+SVD word vectors of title keywords
+  (co-occurrences counted locally, because the baselines are timed as
+  driver-side algorithms, then factorised by ``repro.text.embeddings``);
 * **co-author view** — feature-hashed bag of co-author names, random-
   projected to a fixed dimension;
 * **venue view** — feature-hashed venue indicator, random-projected.
@@ -24,6 +24,7 @@ import numpy as np
 import pandas as pd
 
 from repro.dblp.generator import STOPWORDS
+from repro.text.embeddings import ppmi_svd
 
 
 def _stable_hash(s: str, mod: int) -> int:
@@ -46,8 +47,8 @@ def local_keywords(papers: pd.DataFrame, *, top_frequent_cut: float = 0.02) -> d
 
 def local_word_vectors(kw_by_paper: dict[int, list[str]], *, dim: int = 64,
                        max_vocab: int = 6000) -> dict[str, np.ndarray]:
-    """PPMI + SVD word vectors from title co-occurrence (numpy twin of
-    ``repro.text.embeddings.word_vectors``)."""
+    """PPMI + SVD word vectors from title co-occurrence, counted locally
+    and factorised like ``repro.text.embeddings.word_vectors``."""
     freq = Counter()
     for ws in kw_by_paper.values():
         freq.update(ws)
@@ -63,14 +64,7 @@ def local_word_vectors(kw_by_paper: dict[int, list[str]], *, dim: int = 64,
             for j in range(i + 1, len(ids)):
                 M[ids[i], ids[j]] += 1
                 M[ids[j], ids[i]] += 1
-    total = M.sum() or 1.0
-    row = M.sum(axis=1, keepdims=True)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        pmi = np.log((M * total) / (row @ row.T + 1e-12) + 1e-12)
-    ppmi = np.maximum(pmi, 0.0)
-    d = min(dim, V)
-    u, s, _ = np.linalg.svd(ppmi, full_matrices=False)
-    vecs = u[:, :d] * np.sqrt(s[:d])
+    vecs = ppmi_svd(M, dim)
     return {w: vecs[i] for w, i in index.items()}
 
 

@@ -21,9 +21,11 @@ from repro.graph.components import components_per_group
 
 @dataclasses.dataclass
 class GCN:
-    """``mapping``: vertex_id -> gcn_vertex (merged id). ``assignments``:
-    every (paper_id, name) occurrence with its final vertex. ``edges``:
-    collaborative relations recovered from co-author lists."""
+    """``mapping`` (name, vertex_id, gcn_vertex): the merged id of every
+    SCN vertex in a score ≥ δ pair; a vertex not listed is its own GCN
+    vertex. ``assignments``: every (paper_id, name) occurrence with its
+    final vertex. ``edges``: collaborative relations recovered from
+    co-author lists."""
 
     mapping: DataFrame
     assignments: DataFrame
@@ -43,37 +45,27 @@ def score_pairs(pairs: DataFrame, params: EMParams) -> DataFrame:
     return pairs.mapInPandas(score, schema)
 
 
-def merge_mapping(pairs_scored: DataFrame, vertices: DataFrame, *, delta: float) -> DataFrame:
-    """(name, vertex_id, gcn_vertex): union–find over score ≥ δ pairs.
-
-    ``vertices``: (name, vertex_id) of all SCN vertices — unmerged vertices
-    map to themselves.
-    """
-    hits = pairs_scored.where(F.col("score") >= delta).select(
-        "name", F.col("vid_i").alias("u"), F.col("vid_j").alias("v")
-    )
-    comp = components_per_group(hits, key="name", u="u", v="v").select(
-        "name", F.col("node").alias("vertex_id"), F.col("component").alias("gcn_vertex")
-    )
-    return (
-        vertices.join(comp, ["name", "vertex_id"], "left")
-        .withColumn("gcn_vertex", F.coalesce("gcn_vertex", "vertex_id"))
-    )
-
-
 def build_gcn(
     scn_assignments: DataFrame, pairs_scored: DataFrame, *, delta: float
 ) -> GCN:
-    """Merge and re-key the SCN into the GCN."""
-    vertices = scn_assignments.select("name", "vertex_id").dropDuplicates(
-        ["name", "vertex_id"]
+    """Merge and re-key the SCN into the GCN: union–find per name over the
+    score ≥ δ pairs, then every occurrence takes its vertex's merged id."""
+    hits = pairs_scored.where(F.col("score") >= delta).select(
+        "name", F.col("vid_i").alias("u"), F.col("vid_j").alias("v")
     )
-    mapping = merge_mapping(pairs_scored, vertices, delta=delta).localCheckpoint(
-        eager=False
+    mapping = (
+        components_per_group(hits)
+        .select("name", F.col("node").alias("vertex_id"), F.col("component").alias("gcn_vertex"))
+        .localCheckpoint(eager=False)
     )
     assignments = (
-        scn_assignments.join(mapping, ["name", "vertex_id"])
-        .select("paper_id", "name", "vertex_id", "gcn_vertex")
+        scn_assignments.join(mapping, ["name", "vertex_id"], "left")
+        .select(
+            "paper_id",
+            "name",
+            "vertex_id",
+            F.coalesce("gcn_vertex", "vertex_id").alias("gcn_vertex"),
+        )
         .localCheckpoint(eager=False)
     )
     # Line 16: recover the collaborative relations present in co-author

@@ -56,7 +56,7 @@ class IncrementalJudge:
         stats: CorpusStats,
         params: EMParams,
         *,
-        delta: float = 0.0,
+        delta: float,
     ) -> None:
         self.stats = stats
         self.params = params

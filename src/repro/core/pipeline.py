@@ -11,7 +11,7 @@ from repro.core.em import EMParams, fit_em
 from repro.core.gammas import GAMMA_NAMES
 from repro.core.gcn import GCN, build_gcn, score_pairs
 from repro.core.profiles import ProfileSet, build_profiles, row_to_profile
-from repro.core.sampling import synthetic_matched_gammas
+from repro.core.sampling import MIN_PAPERS, synthetic_matched_gammas
 from repro.core.scn import SCN, build_scn
 from repro.core.similarity import pair_similarities
 
@@ -65,7 +65,7 @@ def run_iuad(
 
     if len(X):
         prolific = (
-            profiles.where(F.col("n_papers") >= 6)
+            profiles.where(F.col("n_papers") >= MIN_PAPERS)
             .orderBy(F.desc("n_papers"), "vertex_id")
             .limit(2000)
             .collect()

@@ -5,12 +5,14 @@ lifting (joins, groupBys, WL refinement, triangle listing) is Catalyst
 dataflow; the result is compact enough to group by name for per-partition
 pair scoring, or to collect per name for incremental judgement.
 
-Dataflow: each occurrence meets its paper's venue, year and keyword list
-in one join on ``paper_id``; one shuffle on ``vertex_id`` then feeds the
-venue and keyword aggregates, and the WL and triangle features arrive
-grouped by vertex too, so assembling a profile row needs no further
-shuffle. The corpus statistics (FB, FH and the word-vector vocabulary,
-which is FB) come back in one driver collect.
+Dataflow: each paper's keyword list is computed in-row from its title,
+and FB, FH and the word-vector vocabulary (which is FB) come back from one
+corpus count (``repro.text.keywords``). Each occurrence meets its paper's
+venue, year and keyword list in one join on ``paper_id``; one shuffle on
+``vertex_id`` then feeds the venue and keyword aggregates, and the WL and
+triangle features arrive grouped by vertex too, so assembling a profile
+row needs no further shuffle. The same keyword lists feed the word-vector
+co-occurrence count.
 """
 from __future__ import annotations
 
@@ -25,14 +27,7 @@ from repro.core.scn import SCN, VSEP
 from repro.core.wl import wl_features
 from repro.graph.triangles import vertex_triangles
 from repro.text.embeddings import word_vectors
-from repro.text.keywords import keyword_frequencies, keywords
-
-PROFILE_SCHEMA = (
-    "name string, vertex_id string, n_papers long, "
-    "venue_names array<string>, venue_counts array<long>, modal_venue string, "
-    "kw array<string>, kw_counts array<long>, kw_min_year array<int>, kw_max_year array<int>, "
-    "wl_labels array<string>, wl_counts array<double>, wl_norm double, tri array<string>"
-)
+from repro.text.keywords import keywords
 
 
 @dataclasses.dataclass
@@ -49,11 +44,7 @@ def _empty(col, typ):
 
 def build_profiles(papers: DataFrame, scn: SCN) -> ProfileSet:
     """Aggregate per-vertex profiles from the SCN and the paper database."""
-    # Read by the profile rows, the corpus statistics and the word vectors.
-    kw = keywords(papers).cache()
-    per_paper = papers.select("paper_id", "venue", "year").join(
-        kw.groupBy("paper_id").agg(F.collect_list("keyword").alias("kws")), "paper_id", "left"
-    )
+    kw = keywords(papers)
     # One fact per (occurrence, venue) and per (occurrence, keyword), so
     # venues and keywords share one shuffle by vertex and one aggregation.
     fact = lambda key, is_kw: F.struct(  # noqa: E731
@@ -61,14 +52,14 @@ def build_profiles(papers: DataFrame, scn: SCN) -> ProfileSet:
     )
     facts = (
         scn.assignments.select("paper_id", "name", "vertex_id")
-        .join(per_paper, "paper_id")
+        .join(kw.papers, "paper_id")
         .select(
             "name",
             "vertex_id",
             F.explode(
                 F.concat(
                     F.array(fact(F.col("venue"), False)),
-                    F.transform(_empty(F.col("kws"), "array<string>"), lambda k: fact(k, True)),
+                    F.transform("kws", lambda k: fact(k, True)),
                 )
             ).alias("f"),
         )
@@ -146,29 +137,16 @@ def build_profiles(papers: DataFrame, scn: SCN) -> ProfileSet:
         )
     ).localCheckpoint(eager=False)  # truncate the WL/triangle join lineage
 
-    # FB, FH and the vocabulary counts (FB again) in one collect; papers are
-    # unique by paper_id, so FH is a plain count.
-    counts = (
-        keyword_frequencies(kw)
-        .select(F.lit(True).alias("is_kw"), F.col("keyword").alias("key"), F.col("fb").alias("n"))
-        .unionByName(
-            papers.groupBy("venue").agg(F.count("*").alias("n"))
-            .select(F.lit(False).alias("is_kw"), F.col("venue").alias("key"), "n")
-        )
-        .collect()
-    )
-    fb = {r["key"]: r["n"] for r in counts if r["is_kw"]}
-    fh = {r["key"]: r["n"] for r in counts if not r["is_kw"]}
-    wv = word_vectors(kw, fb)
+    wv = word_vectors(kw.papers, kw.fb)
     vecs = {k: np.asarray(v) for k, v in zip(wv["keyword"], wv["vec"])}
     dim = len(next(iter(vecs.values()))) if vecs else 0
-    stats = CorpusStats(fb=fb, fh=fh, word_vectors=vecs, dim=dim, alpha=ALPHA)
+    stats = CorpusStats(fb=kw.fb, fh=kw.fh, word_vectors=vecs, dim=dim, alpha=ALPHA)
     return ProfileSet(profiles=prof, stats=stats)
 
 
 def row_to_profile(row) -> Profile:
     """Convert a profile row (Spark Row / pandas namedtuple-like mapping with
-    the PROFILE_SCHEMA fields) into a ``gammas.Profile``."""
+    the columns of ``build_profiles``' rows) into a ``gammas.Profile``."""
     get = row.__getitem__ if hasattr(row, "__getitem__") else getattr
     return Profile(
         vertex_id=get("vertex_id"),

@@ -8,14 +8,18 @@ Two mechanisms from Section V-F:
   paper "partitions a vertex with many published papers into two vertices at
   random"; the two halves form a guaranteed-matched pair. We implement the
   split at profile level: venue and keyword multisets are divided
-  binomially, paper counts halved, and structural features (WL, triangles)
-  shared — exactly what two halves of one author's output look like.
+  binomially and paper counts halved; the structural features (WL,
+  triangles) are dropped from both halves, because a genuine matched pair
+  spans two collaboration phases and shares no collaboration structure.
 """
 from __future__ import annotations
 
 import numpy as np
 
 from repro.core.gammas import GAMMA_NAMES, CorpusStats, Profile, gamma_vector
+
+#: Papers a vertex needs before it is split into a matched pair.
+MIN_PAPERS = 6
 
 
 def split_profile(p: Profile, rng: np.random.Generator) -> tuple[Profile, Profile]:
@@ -67,14 +71,13 @@ def synthetic_matched_gammas(
     stats: CorpusStats,
     *,
     n: int,
-    min_papers: int = 6,
     seed: int = 0,
 ) -> np.ndarray:
     """γ vectors of ``n`` split-pair (guaranteed matched) samples drawn from
-    prolific vertices; an empty array with one column per γ if no vertex
-    is prolific enough."""
+    the vertices with at least MIN_PAPERS papers; an empty array with one
+    column per γ if there is none."""
     rng = np.random.default_rng(seed)
-    pool = [p for p in profiles if p.n_papers >= min_papers]
+    pool = [p for p in profiles if p.n_papers >= MIN_PAPERS]
     if not pool or n <= 0:
         return np.zeros((0, len(GAMMA_NAMES)))
     out = []

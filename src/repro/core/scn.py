@@ -43,7 +43,7 @@ class SCN:
     ``assignments`` (paper_id, name, vertex_id, stable): every co-author
                     occurrence mapped to its SCN vertex; ``stable`` marks
                     SCR-backed vertices vs singleton ones.
-    ``edges``       (u, v, cnt): SCN edges between vertex ids — one per SCR,
+    ``edges``       (u, v): SCN edges between vertex ids — one per SCR,
                     linking the vertex of a that contains partner b with the
                     vertex of b that contains partner a.
     """
@@ -61,12 +61,12 @@ def _pairs_in_row(df: DataFrame, items: str, a: str, b: str, *keep: str) -> Data
     )
 
 
-def mine_scrs(papers: DataFrame, *, eta: int = 2) -> DataFrame:
+def mine_scrs(papers: DataFrame, *, eta: int) -> DataFrame:
     """η-SCRs by direct pair counting: (a, b, cnt) with a < b, cnt >= eta.
 
     Equivalent to FP-growth restricted to 2-itemsets (tested against
-    ``mine_scrs_fpgrowth`` and a DuckDB oracle): the pairs come from each
-    co-author list in-row, so one aggregation shuffle does all the work.
+    ``pyspark.ml.fpm.FPGrowth`` and a DuckDB oracle): the pairs come from
+    each co-author list in-row, so one aggregation shuffle does all the work.
     """
     return (
         _pairs_in_row(papers, "names", "a", "b")
@@ -75,26 +75,6 @@ def mine_scrs(papers: DataFrame, *, eta: int = 2) -> DataFrame:
         .agg(F.count("*").alias("cnt"))
         .where(F.col("cnt") >= eta)
     )
-
-
-def mine_scrs_fpgrowth(papers: DataFrame, *, eta: int = 2) -> DataFrame:
-    """η-SCRs via ``pyspark.ml.fpm.FPGrowth`` (the paper's Step I verbatim).
-
-    Mines all frequent itemsets with support η/N and keeps the 2-itemsets.
-    Co-author lists are already duplicate-free by construction.
-    """
-    from pyspark.ml.fpm import FPGrowth
-
-    n = papers.count()
-    model = FPGrowth(
-        itemsCol="names", minSupport=max(eta / n, 1e-12), minConfidence=0.5
-    ).fit(papers.select("paper_id", "names"))
-    two = model.freqItemsets.where(F.size("items") == 2)
-    return two.select(
-        F.array_min("items").alias("a"),
-        F.array_max("items").alias("b"),
-        F.col("freq").alias("cnt"),
-    ).where(F.col("cnt") >= eta)
 
 
 def partner_components(scrs: DataFrame) -> DataFrame:
@@ -120,9 +100,9 @@ def partner_components(scrs: DataFrame) -> DataFrame:
     # A self-loop per partner puts isolated partners into the union–find as
     # their own component.
     loops = partners.select("name", F.col("partner").alias("u"), F.col("partner").alias("v"))
-    return components_per_group(
-        partner_edges.unionByName(loops), key="name", u="u", v="v"
-    ).select("name", F.col("node").alias("partner"), "component")
+    return components_per_group(partner_edges.unionByName(loops)).select(
+        "name", F.col("node").alias("partner"), "component"
+    )
 
 
 def scr_vertex_id(name_col, comp_col):
@@ -144,7 +124,7 @@ def _vote(names, comp_of):
     return F.array_max(tally)["component"]
 
 
-def build_scn(papers: DataFrame, *, eta: int = 2) -> SCN:
+def build_scn(papers: DataFrame, *, eta: int) -> SCN:
     """Construct the SCN from a paper database (Algorithm 1, lines 2–5)."""
     scrs = mine_scrs(papers, eta=eta)
     # Read by the vote and by the edges below: materialised once.
@@ -189,9 +169,8 @@ def build_scn(papers: DataFrame, *, eta: int = 2) -> SCN:
     edges = (
         half.groupBy("a", "b")
         .agg(end("a").alias("u"), end("b").alias("v"))
-        .join(scrs, ["a", "b"])
         .where(F.col("u").isNotNull() & F.col("v").isNotNull())
-        .select("u", "v", "cnt")
+        .select("u", "v")
         .localCheckpoint(eager=False)
     )
     return SCN(scrs=scrs, assignments=assignments, edges=edges)

@@ -11,11 +11,10 @@ iteration.
 """
 from __future__ import annotations
 
-from typing import Hashable, Iterable, Sequence
+from typing import Hashable
 
 import pandas as pd
 from pyspark.sql import DataFrame
-from pyspark.sql import functions as F
 
 
 class UnionFind:
@@ -49,32 +48,14 @@ class UnionFind:
         return {x: self.find(x) for x in self._parent}
 
 
-def local_components(
-    edges: Iterable[tuple[Hashable, Hashable]],
-    nodes: Iterable[Hashable] = (),
-) -> dict[Hashable, Hashable]:
-    """Reference/local implementation: node -> component representative."""
-    uf = UnionFind()
-    for n in nodes:
-        uf.add(n)
-    for u, v in edges:
-        uf.union(u, v)
-    return uf.components()
+def components_per_group(edges: DataFrame) -> DataFrame:
+    """Per-name connected components of string-labelled graphs.
 
-
-def components_per_group(
-    edges: DataFrame, *, key: str = "name", u: str = "u", v: str = "v"
-) -> DataFrame:
-    """Per-key connected components of string-labelled graphs.
-
-    ``edges``: one row per undirected edge within a key's graph. Returns one
-    row per (key, node) with the node's component representative — the
-    lexicographically smallest node label in the component, so output is
-    deterministic and independent of partitioning.
+    ``edges`` (name, u, v): one row per undirected edge within a name's
+    graph. Returns one row per (name, node) with the node's component
+    representative — the lexicographically smallest node label in the
+    component, so output is deterministic and independent of partitioning.
     """
-    sel = edges.select(
-        F.col(key).alias("key"), F.col(u).alias("u"), F.col(v).alias("v")
-    )
 
     def _cc(pdf: pd.DataFrame) -> pd.DataFrame:
         uf = UnionFind()
@@ -83,13 +64,12 @@ def components_per_group(
         comp = uf.components()
         return pd.DataFrame(
             {
-                "key": pdf["key"].iloc[0],
+                "name": pdf["name"].iloc[0],
                 "node": list(comp.keys()),
                 "component": list(comp.values()),
             }
         )
 
-    out = sel.groupBy("key").applyInPandas(
-        _cc, schema="key string, node string, component string"
+    return edges.select("name", "u", "v").groupBy("name").applyInPandas(
+        _cc, schema="name string, node string, component string"
     )
-    return out.withColumnRenamed("key", key)

@@ -15,13 +15,14 @@ from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
 
-def canonical_edges(edges: DataFrame, *, u: str = "u", v: str = "v") -> DataFrame:
-    """Undirected edge list with u < v, deduplicated, self-loops dropped.
+def canonical_edges(edges: DataFrame) -> DataFrame:
+    """Undirected edge list (u, v) with u < v, deduplicated, self-loops
+    dropped, from the edge columns ``u`` and ``v``.
 
     Hash-partitioned by ``u``, so grouping the result by ``u`` needs no
     further shuffle.
     """
-    a, b = F.col(u), F.col(v)
+    a, b = F.col("u"), F.col("v")
     return (
         edges.select(F.least(a, b).alias("u"), F.greatest(a, b).alias("v"))
         .where(F.col("u") != F.col("v"))
@@ -30,7 +31,7 @@ def canonical_edges(edges: DataFrame, *, u: str = "u", v: str = "v") -> DataFram
     )
 
 
-def triangles(edges: DataFrame, *, u: str = "u", v: str = "v") -> DataFrame:
+def triangles(edges: DataFrame) -> DataFrame:
     """All triangles (a < b < c) in the undirected graph.
 
     Each wedge a → b (b a larger neighbour of a) is joined with b's row of
@@ -38,7 +39,7 @@ def triangles(edges: DataFrame, *, u: str = "u", v: str = "v") -> DataFrame:
     closes a triangle, so each triangle is listed once, from its smallest
     corner.
     """
-    fwd = canonical_edges(edges, u=u, v=v).groupBy("u").agg(F.collect_list("v").alias("out"))
+    fwd = canonical_edges(edges).groupBy("u").agg(F.collect_list("v").alias("out"))
     wedges = fwd.select(
         F.col("u").alias("a"), F.explode("out").alias("b"), F.col("out").alias("out_a")
     )
@@ -48,12 +49,12 @@ def triangles(edges: DataFrame, *, u: str = "u", v: str = "v") -> DataFrame:
     )
 
 
-def vertex_triangles(edges: DataFrame, *, u: str = "u", v: str = "v") -> DataFrame:
+def vertex_triangles(edges: DataFrame) -> DataFrame:
     """One row per (vertex, triangle): columns ``node, a, b, c``.
 
     γ₂ compares triangle *sets* of two vertices; this exploded form joins
     directly against vertex ids.
     """
-    return triangles(edges, u=u, v=v).select(
+    return triangles(edges).select(
         F.explode(F.array("a", "b", "c")).alias("node"), "a", "b", "c"
     )

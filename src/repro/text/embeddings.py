@@ -7,9 +7,11 @@ PMI → SVD. This preserves the property γ₃ relies on — cosine similarity
 reflects topical relatedness — and is the classic count-based equivalent of
 Word2Vec (Levy & Goldberg 2014 show SGNS factorises shifted PMI).
 
-Co-occurrence counting is Spark dataflow (keyword pairs generated in-row
-from each paper's keyword list); the PPMI/SVD factorisation of the small
-vocab×vocab matrix runs in numpy on the driver.
+Co-occurrence counting is Spark dataflow: keyword pairs are generated
+in-row from each paper's keyword list (``repro.text.keywords``), so one
+aggregation counts them. The PPMI/SVD factorisation of the small
+vocab×vocab matrix runs in numpy on the driver, in ``ppmi_svd``, which the
+driver-side baselines share.
 """
 from __future__ import annotations
 
@@ -23,11 +25,11 @@ from pyspark.sql import functions as F
 MAX_VOCAB = 6000
 
 
-def cooccurrence(kw: DataFrame) -> DataFrame:
-    """(w1, w2, cnt) for unordered keyword pairs sharing a title (w1 < w2)."""
-    titles = kw.groupBy("paper_id").agg(F.collect_list("keyword").alias("kws"))
+def cooccurrence(papers: DataFrame) -> DataFrame:
+    """(w1, w2, cnt) for unordered keyword pairs sharing a title (w1 < w2);
+    ``papers`` holds each paper's distinct keywords as the list ``kws``."""
     return (
-        titles.select("kws", F.explode("kws").alias("w1"))
+        papers.select("kws", F.explode("kws").alias("w1"))
         .select("w1", F.explode("kws").alias("w2"))
         .where(F.col("w1") < F.col("w2"))
         .groupBy("w1", "w2")
@@ -35,29 +37,9 @@ def cooccurrence(kw: DataFrame) -> DataFrame:
     )
 
 
-def word_vectors(kw: DataFrame, counts: Mapping[str, int], *, dim: int = 64) -> pd.DataFrame:
-    """Dense word vectors for every keyword; columns ``keyword, vec``.
-
-    ``counts`` maps every keyword of ``kw`` to its number of papers (FB,
-    which the caller fetches with the other corpus statistics). Vocabulary
-    is capped at the MAX_VOCAB most frequent keywords, ties by keyword;
-    words outside the cap get no vector (γ₃ averages over covered words
-    only).
-    """
-    vocab = sorted(counts, key=lambda w: (-counts[w], w))[:MAX_VOCAB]
-    index = {w: i for i, w in enumerate(vocab)}
-    V = len(vocab)
-    if V == 0:
-        return pd.DataFrame({"keyword": [], "vec": []})
-
-    co = cooccurrence(kw).collect()
-    M = np.zeros((V, V))
-    for r in co:
-        i, j = index.get(r["w1"]), index.get(r["w2"])
-        if i is not None and j is not None:
-            M[i, j] += r["cnt"]
-            M[j, i] += r["cnt"]
-
+def ppmi_svd(M: np.ndarray, dim: int) -> np.ndarray:
+    """One vector per row of the symmetric co-occurrence matrix ``M``: the
+    economy SVD of its positive PMI, ``min(dim, len(M))`` columns wide."""
     # PPMI with add-one smoothing on the marginals to avoid log(0).
     total = M.sum() or 1.0
     row = M.sum(axis=1, keepdims=True)
@@ -65,8 +47,32 @@ def word_vectors(kw: DataFrame, counts: Mapping[str, int], *, dim: int = 64) -> 
         pmi = np.log((M * total) / (row @ row.T + 1e-12) + 1e-12)
     ppmi = np.maximum(pmi, 0.0)
 
-    d = min(dim, V)
-    # Economy SVD of the (small, dense) PPMI matrix.
+    d = min(dim, len(M))
     u, s, _ = np.linalg.svd(ppmi, full_matrices=False)
-    vecs = u[:, :d] * np.sqrt(s[:d])
+    return u[:, :d] * np.sqrt(s[:d])
+
+
+def word_vectors(papers: DataFrame, counts: Mapping[str, int], *, dim: int = 64) -> pd.DataFrame:
+    """Dense word vectors for every keyword; columns ``keyword, vec``.
+
+    ``papers`` holds each paper's keyword list ``kws``; ``counts`` maps
+    every keyword to its number of papers (FB, counted with the keyword
+    lists). Vocabulary is capped at the MAX_VOCAB most frequent keywords,
+    ties by keyword; words outside the cap get no vector (γ₃ averages over
+    covered words only).
+    """
+    vocab = sorted(counts, key=lambda w: (-counts[w], w))[:MAX_VOCAB]
+    index = {w: i for i, w in enumerate(vocab)}
+    V = len(vocab)
+    if V == 0:
+        return pd.DataFrame({"keyword": [], "vec": []})
+
+    co = cooccurrence(papers).collect()
+    M = np.zeros((V, V))
+    for r in co:
+        i, j = index.get(r["w1"]), index.get(r["w2"])
+        if i is not None and j is not None:
+            M[i, j] += r["cnt"]
+            M[j, i] += r["cnt"]
+    vecs = ppmi_svd(M, dim)
     return pd.DataFrame({"keyword": vocab, "vec": [vecs[i].astype(np.float64) for i in range(V)]})

@@ -5,7 +5,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.graph.components import UnionFind, components_per_group, local_components
+from repro.graph.components import UnionFind, components_per_group
+
+
+def local_components(edges, nodes=()) -> dict:
+    """Reference/local implementation: node -> component representative."""
+    uf = UnionFind()
+    for n in nodes:
+        uf.add(n)
+    for u, v in edges:
+        uf.union(u, v)
+    return uf.components()
 
 
 class TestUnionFind:

@@ -6,11 +6,7 @@ import pytest
 from repro.baselines.embed import local_keywords, local_word_vectors
 from repro.dblp.generator import PAPER_SCHEMA
 from repro.text.embeddings import cooccurrence, word_vectors
-from repro.text.keywords import keyword_frequencies, keywords
-
-
-def fb(kw) -> dict:
-    return {r.keyword: r.fb for r in keyword_frequencies(kw).collect()}
+from repro.text.keywords import keywords
 
 
 @pytest.fixture(scope="module")
@@ -30,14 +26,14 @@ def topic_papers(spark):
 class TestSparkEmbeddings:
     def test_cooccurrence_counts(self, spark, topic_papers):
         kw = keywords(topic_papers, top_frequent_cut=1.0)
-        co = {(r.w1, r.w2): r.cnt for r in cooccurrence(kw).collect()}
+        co = {(r.w1, r.w2): r.cnt for r in cooccurrence(kw.papers).collect()}
         assert co[("cat", "dog")] == 10
         assert co[("algebra", "matrix")] == 10
         assert co[("algebra", "cat")] == 1
 
     def test_topical_words_closer_than_cross_topic(self, spark, topic_papers):
         kw = keywords(topic_papers, top_frequent_cut=1.0)
-        wv = word_vectors(kw, fb(kw), dim=8)
+        wv = word_vectors(kw.papers, kw.fb, dim=8)
         vecs = dict(zip(wv.keyword, wv.vec))
         cos = lambda a, b: float(  # noqa: E731
             np.dot(a, b) / (np.linalg.norm(a) * np.linalg.norm(b) + 1e-12)
@@ -48,10 +44,9 @@ class TestSparkEmbeddings:
 
     def test_all_keywords_covered(self, spark, topic_papers):
         kw = keywords(topic_papers, top_frequent_cut=1.0)
-        wv = word_vectors(kw, fb(kw), dim=8)
+        wv = word_vectors(kw.papers, kw.fb, dim=8)
         got = set(wv.keyword)
-        expect = {r.keyword for r in kw.select("keyword").distinct().collect()}
-        assert got == expect
+        assert got == set(kw.fb) == {"cat", "dog", "animal", "vector", "matrix", "algebra"}
 
     def test_empty_corpus(self, spark):
         empty = spark.createDataFrame(
@@ -60,7 +55,7 @@ class TestSparkEmbeddings:
             schema=PAPER_SCHEMA,
         )
         kw = keywords(empty, top_frequent_cut=1.0)
-        assert len(word_vectors(kw, fb(kw))) == 0
+        assert len(word_vectors(kw.papers, kw.fb)) == 0
 
 
 class TestLocalEmbeddings:

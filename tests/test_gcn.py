@@ -4,7 +4,7 @@ import pandas as pd
 import pytest
 
 from repro.core.em import EMParams, FeatureParams, fit_em, score_array
-from repro.core.gcn import build_gcn, merge_mapping, score_pairs
+from repro.core.gcn import build_gcn, score_pairs
 from repro.core.gammas import GAMMA_NAMES
 
 
@@ -13,50 +13,59 @@ def pairs_pdf(rows):
     return pd.DataFrame(rows, columns=cols)
 
 
-def vertices_pdf(rows):
-    return pd.DataFrame(rows, columns=["name", "vertex_id"])
+def merge(spark, pairs, vertices, delta):
+    """``build_gcn`` over one occurrence of each (name, vertex_id) in
+    ``vertices``: (mapping, {vertex_id: gcn_vertex}) as pandas."""
+    asg = pd.DataFrame(vertices, columns=["name", "vertex_id"])
+    asg.insert(0, "paper_id", range(len(asg)))
+    asg["stable"] = True
+    gcn = build_gcn(
+        spark.createDataFrame(asg), spark.createDataFrame(pairs_pdf(pairs)), delta=delta
+    )
+    got = gcn.assignments.toPandas()
+    return gcn.mapping.toPandas(), dict(zip(got.vertex_id, got.gcn_vertex))
 
 
 @pytest.mark.spark
 class TestMergeMapping:
     def test_threshold_respected(self, spark):
-        pairs = spark.createDataFrame(
-            pairs_pdf([("n", "n#a", "n#b", 5.0), ("n", "n#b", "n#c", -1.0)])
+        m, got = merge(
+            spark,
+            [("n", "n#a", "n#b", 5.0), ("n", "n#b", "n#c", -1.0)],
+            [("n", "n#a"), ("n", "n#b"), ("n", "n#c")],
+            0.0,
         )
-        verts = spark.createDataFrame(
-            vertices_pdf([("n", "n#a"), ("n", "n#b"), ("n", "n#c")])
-        )
-        m = merge_mapping(pairs, verts, delta=0.0).toPandas()
-        got = dict(zip(m.vertex_id, m.gcn_vertex))
         assert got["n#a"] == got["n#b"]
         assert got["n#c"] == "n#c"
+        # The mapping lists merged vertices only.
+        assert set(m.vertex_id) == {"n#a", "n#b"}
 
     def test_transitive_closure(self, spark):
-        pairs = spark.createDataFrame(
-            pairs_pdf([("n", "n#a", "n#b", 9.0), ("n", "n#b", "n#c", 9.0)])
+        m, got = merge(
+            spark,
+            [("n", "n#a", "n#b", 9.0), ("n", "n#b", "n#c", 9.0)],
+            [("n", "n#a"), ("n", "n#b"), ("n", "n#c")],
+            0.0,
         )
-        verts = spark.createDataFrame(
-            vertices_pdf([("n", "n#a"), ("n", "n#b"), ("n", "n#c")])
-        )
-        m = merge_mapping(pairs, verts, delta=0.0).toPandas()
-        assert m.gcn_vertex.nunique() == 1
+        assert set(got.values()) == {"n#a"}
 
     def test_names_never_cross(self, spark):
-        pairs = spark.createDataFrame(
-            pairs_pdf([("n", "n#a", "n#b", 9.0), ("m", "m#a", "m#b", 9.0)])
+        m, got = merge(
+            spark,
+            [("n", "n#a", "n#b", 9.0), ("m", "m#a", "m#b", 9.0)],
+            [("n", "n#a"), ("n", "n#b"), ("m", "m#a"), ("m", "m#b")],
+            0.0,
         )
-        verts = spark.createDataFrame(
-            vertices_pdf([("n", "n#a"), ("n", "n#b"), ("m", "m#a"), ("m", "m#b")])
-        )
-        m = merge_mapping(pairs, verts, delta=0.0).toPandas()
         for r in m.itertuples(index=False):
             assert r.gcn_vertex.startswith(r.name)
+        assert got == {"n#a": "n#a", "n#b": "n#a", "m#a": "m#a", "m#b": "m#a"}
 
     def test_infinite_delta_identity(self, spark):
-        pairs = spark.createDataFrame(pairs_pdf([("n", "n#a", "n#b", 100.0)]))
-        verts = spark.createDataFrame(vertices_pdf([("n", "n#a"), ("n", "n#b")]))
-        m = merge_mapping(pairs, verts, delta=1e9).toPandas()
-        assert (m.vertex_id == m.gcn_vertex).all()
+        m, got = merge(
+            spark, [("n", "n#a", "n#b", 100.0)], [("n", "n#a"), ("n", "n#b")], 1e9
+        )
+        assert m.empty
+        assert got == {"n#a": "n#a", "n#b": "n#b"}
 
 
 @pytest.mark.spark

@@ -1,11 +1,11 @@
-"""Keyword extraction dataflow + DuckDB oracle for frequency counts."""
+"""Keyword extraction dataflow + DuckDB oracle for the corpus counts."""
 import pandas as pd
 import pytest
 from pyspark.sql import functions as F
 
-from repro.dblp.generator import PAPER_SCHEMA
+from repro.dblp.generator import PAPER_SCHEMA, STOPWORDS
 from repro.oracle import assert_equivalent
-from repro.text.keywords import keyword_frequencies, keywords, title_tokens
+from repro.text.keywords import keywords, title_keywords
 
 
 @pytest.fixture(scope="module")
@@ -13,7 +13,7 @@ def kw_papers(spark):
     rows = [
         (0, [0], ["n0"], "the deep graph model", "V", 2000),
         (1, [1], ["n1"], "a deep network study", "V", 2001),
-        (2, [2], ["n2"], "deep graph network", "V", 2002),
+        (2, [2], ["n2"], "Deep  graph network", "W", 2002),
         (3, [3], ["n3"], "common common common", "V", 2003),
     ]
     pdf = pd.DataFrame(
@@ -22,41 +22,70 @@ def kw_papers(spark):
     return spark.createDataFrame(pdf, schema=PAPER_SCHEMA).cache()
 
 
+def keyword_rows(kw) -> pd.DataFrame:
+    """(paper_id, keyword) rows of the per-paper keyword lists."""
+    return kw.papers.select("paper_id", F.explode("kws").alias("keyword")).toPandas()
+
+
 @pytest.mark.spark
 class TestKeywords:
     def test_tokens_lowercased_split(self, spark, kw_papers):
-        toks = title_tokens(kw_papers).toPandas()
-        assert set(toks[toks.paper_id == 2].token) == {"deep", "graph", "network"}
+        toks = kw_papers.select("paper_id", title_keywords(F.col("title"), ()).alias("t"))
+        got = {r.paper_id: r.t for r in toks.collect()}
+        assert sorted(got[2]) == ["deep", "graph", "network"]
 
     def test_stopwords_removed(self, spark, kw_papers):
-        kws = keywords(kw_papers, top_frequent_cut=1.0).toPandas()
+        kws = keyword_rows(keywords(kw_papers, top_frequent_cut=1.0))
         assert "the" not in set(kws.keyword)
         assert "a" not in set(kws.keyword)
 
     def test_frequent_words_cut(self, spark, kw_papers):
         # 'deep' appears in 3/4 papers = 75 % > 60 % cut; 'graph' in 2/4.
-        kws = keywords(kw_papers, top_frequent_cut=0.6).toPandas()
-        assert "deep" not in set(kws.keyword)
-        assert "graph" in set(kws.keyword)
+        kw = keywords(kw_papers, top_frequent_cut=0.6)
+        kws = keyword_rows(kw)
+        assert "deep" not in set(kws.keyword) and "deep" not in kw.fb
+        assert "graph" in set(kws.keyword) and kw.fb["graph"] == 2
 
     def test_deduplicated_within_paper(self, spark, kw_papers):
-        kws = keywords(kw_papers, top_frequent_cut=1.0).toPandas()
+        kws = keyword_rows(keywords(kw_papers, top_frequent_cut=1.0))
         sub = kws[kws.paper_id == 3]
         assert list(sub.keyword) == ["common"]
 
     def test_fb_counts_oracle(self, spark, kw_papers):
-        kw = keywords(kw_papers, top_frequent_cut=1.0)
-        assert_equivalent(
-            keyword_frequencies(kw).select("keyword", F.col("fb").cast("long").alias("fb")),
-            """
-            SELECT keyword, COUNT(DISTINCT paper_id)::BIGINT AS fb
-            FROM kw GROUP BY keyword
-            """,
-            kw=kw,
-        )
+        """FB is the document frequency of each token that is no stop word
+        and in at most a ``cut`` share of the papers; FH counts papers per
+        venue."""
+        toks = kw_papers.select(
+            "paper_id", F.explode(F.split(F.lower("title"), r"\s+")).alias("token")
+        ).toPandas()
+        stop = pd.DataFrame({"word": sorted(set(STOPWORDS))})
+        for cut in (1.0, 0.6, 0.3):
+            kw = keywords(kw_papers, top_frequent_cut=cut)
+            counts = pd.DataFrame(
+                [(True, k, n) for k, n in kw.fb.items()]
+                + [(False, k, n) for k, n in kw.fh.items()],
+                columns=["is_kw", "key", "n"],
+            )
+            assert_equivalent(
+                spark.createDataFrame(counts),
+                f"""
+                WITH df AS (
+                    SELECT token, COUNT(DISTINCT paper_id) AS n FROM toks
+                    WHERE token <> '' AND token NOT IN (SELECT word FROM stop)
+                    GROUP BY token
+                )
+                SELECT TRUE AS is_kw, token AS key, n FROM df
+                WHERE n <= {cut} * (SELECT COUNT(*) FROM papers)
+                UNION ALL
+                SELECT FALSE AS is_kw, venue AS key, COUNT(*) AS n FROM papers GROUP BY venue
+                """,
+                toks=toks,
+                stop=stop,
+                papers=kw_papers.select("paper_id", "venue"),
+            )
 
     def test_corpus_keywords_exclude_generator_stopwords(self, spark, papers_df):
-        from repro.dblp.generator import STOPWORDS
-
-        kws = keywords(papers_df).select("keyword").distinct().toPandas()
+        kw = keywords(papers_df)
+        kws = keyword_rows(kw)
         assert not (set(kws.keyword) & set(STOPWORDS))
+        assert set(kws.keyword) == set(kw.fb)

@@ -11,16 +11,29 @@ import pandas as pd
 import pytest
 from pyspark.sql import functions as F
 
-from repro.core.scn import (
-    SSEP,
-    VSEP,
-    build_scn,
-    mine_scrs,
-    mine_scrs_fpgrowth,
-    partner_components,
-)
+from repro.core.scn import SSEP, VSEP, build_scn, mine_scrs, partner_components
 from repro.graph.components import UnionFind
 from repro.oracle import assert_equivalent
+
+
+def mine_scrs_fpgrowth(papers, *, eta: int):
+    """η-SCRs via ``pyspark.ml.fpm.FPGrowth`` (the paper's Step I verbatim).
+
+    Mines all frequent itemsets with support η/N and keeps the 2-itemsets.
+    Co-author lists are already duplicate-free by construction.
+    """
+    from pyspark.ml.fpm import FPGrowth
+
+    n = papers.count()
+    model = FPGrowth(
+        itemsCol="names", minSupport=max(eta / n, 1e-12), minConfidence=0.5
+    ).fit(papers.select("paper_id", "names"))
+    two = model.freqItemsets.where(F.size("items") == 2)
+    return two.select(
+        F.array_min("items").alias("a"),
+        F.array_max("items").alias("b"),
+        F.col("freq").alias("cnt"),
+    ).where(F.col("cnt") >= eta)
 
 
 def reference_scn(papers_pdf: pd.DataFrame, eta: int):
