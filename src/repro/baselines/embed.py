@@ -23,21 +23,18 @@ from collections import Counter
 import numpy as np
 import pandas as pd
 
-from repro.dblp.generator import STOPWORDS
 from repro.text.embeddings import ppmi_svd
+from repro.text.keywords import FREQUENT_CUT, title_tokens
 
 
 def _stable_hash(s: str, mod: int) -> int:
     return int.from_bytes(hashlib.md5(s.encode()).digest()[:8], "little") % mod
 
 
-def local_keywords(papers: pd.DataFrame, *, top_frequent_cut: float = 0.02) -> dict[int, list[str]]:
+def local_keywords(papers: pd.DataFrame, *,
+                   top_frequent_cut: float = FREQUENT_CUT) -> dict[int, list[str]]:
     """paper_id -> keyword list; mirrors ``repro.text.keywords.keywords``."""
-    stop = set(STOPWORDS)
-    toks = {
-        pid: [t for t in title.lower().split() if t and t not in stop]
-        for pid, title in zip(papers.paper_id, papers.title)
-    }
+    toks = {pid: title_tokens(title) for pid, title in zip(papers.paper_id, papers.title)}
     df = Counter()
     for ts in toks.values():
         df.update(set(ts))

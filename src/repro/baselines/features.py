@@ -13,7 +13,7 @@ from collections import Counter
 import numpy as np
 import pandas as pd
 
-from repro.dblp.generator import STOPWORDS
+from repro.text.keywords import title_tokens
 
 FEATURE_NAMES = (
     "n_shared_coauthors",
@@ -35,15 +35,13 @@ class FeatureExtractor:
     def __init__(self, papers: pd.DataFrame) -> None:
         self.papers = papers.set_index("paper_id")
         self.n_papers = len(papers)
-        stop = set(STOPWORDS)
         self.name_freq: Counter = Counter()
         self.token_df: Counter = Counter()
         self.venue_freq: Counter = Counter()
         self._tokens: dict[int, list[str]] = {}
         self._namesets: dict[int, frozenset[str]] = {}
         for pid, row in self.papers.iterrows():
-            toks = [t for t in row["title"].lower().split() if t and t not in stop]
-            self._tokens[pid] = toks
+            self._tokens[pid] = toks = title_tokens(row["title"])
             self.token_df.update(set(toks))
             self._namesets[pid] = frozenset(row["names"])
             self.name_freq.update(row["names"])

@@ -50,6 +50,12 @@ class CorpusStats:
     alpha: float = ALPHA
 
 
+def modal_venue(venues: Mapping[str, int]) -> str | None:
+    """h_v: the venue with the most papers, ties to the larger name; None
+    without venues. ``profiles.build_profiles`` is its Catalyst form."""
+    return max(venues.items(), key=lambda kv: (kv[1], kv[0]))[0] if venues else None
+
+
 def _mean_vec(p: Profile, stats: CorpusStats) -> np.ndarray:
     acc = np.zeros(stats.dim)
     n = 0

@@ -4,7 +4,8 @@ Score every same-name vertex pair with the fitted generative model
 (eq. 11), merge pairs whose score clears the decision threshold δ
 (transitively, per name, via the grouped union–find), re-key every paper
 occurrence to its merged vertex, and recover the collaborative relations
-from the co-author lists (Algorithm 1, lines 11–16).
+from the co-author lists (Algorithm 1, lines 11–16): each paper's list of
+final vertices gives its edges in-row (``repro.graph.pairs``).
 """
 from __future__ import annotations
 
@@ -17,6 +18,7 @@ from pyspark.sql.types import DoubleType, StructField, StructType
 from repro.core.em import EMParams, score_array
 from repro.core.gammas import GAMMA_NAMES
 from repro.graph.components import components_per_group
+from repro.graph.pairs import pair_counts
 
 
 @dataclasses.dataclass
@@ -70,11 +72,6 @@ def build_gcn(
     )
     # Line 16: recover the collaborative relations present in co-author
     # lists — an edge between every pair of final vertices sharing a paper.
-    occ = assignments.select("paper_id", F.col("gcn_vertex").alias("u"))
-    edges = (
-        occ.join(occ.select("paper_id", F.col("u").alias("v")), "paper_id")
-        .where(F.col("u") < F.col("v"))
-        .groupBy("u", "v")
-        .agg(F.count("*").alias("cnt"))
-    )
+    lists = assignments.groupBy("paper_id").agg(F.collect_list("gcn_vertex").alias("vs"))
+    edges = pair_counts(lists, "vs", "u", "v")
     return GCN(mapping=mapping, assignments=assignments, edges=edges)

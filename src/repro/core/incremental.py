@@ -15,18 +15,9 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from repro.core.em import EMParams, score_array
-from repro.core.gammas import CorpusStats, Profile, gamma_vector
+from repro.core.gammas import CorpusStats, Profile, gamma_vector, modal_venue
 from repro.core.profiles import row_to_profile
-from repro.dblp.generator import STOPWORDS
-
-
-def paper_keywords(title: str, stats: CorpusStats) -> list[str]:
-    """Tokenize a new title the way the batch pipeline did: lower-case,
-    stop words removed, restricted to the corpus keyword vocabulary."""
-    stop = set(STOPWORDS)
-    return sorted(
-        {t for t in title.lower().split() if t and t not in stop and t in stats.fb}
-    )
+from repro.text.keywords import title_tokens
 
 
 def profile_for_paper(paper: Mapping, name: str, stats: CorpusStats) -> Profile:
@@ -34,13 +25,15 @@ def profile_for_paper(paper: Mapping, name: str, stats: CorpusStats) -> Profile:
     if name not in paper["names"]:
         raise ValueError(f"{name!r} is not an author of paper {paper['paper_id']!r}")
     year = int(paper["year"])
+    # The batch keyword rule: title tokens, minus the frequent words FB omits.
+    kws = sorted({t for t in title_tokens(paper["title"]) if t in stats.fb})
     return Profile(
         vertex_id=f"{name}@new{paper['paper_id']}",
         name=name,
         n_papers=1,
         venues={paper["venue"]: 1},
         modal_venue=paper["venue"],
-        keywords={k: (1, year, year) for k in paper_keywords(paper["title"], stats)},
+        keywords={k: (1, year, year) for k in kws},
         wl={},
         wl_norm=0.0,
         triangles=frozenset(),
@@ -126,13 +119,12 @@ def _combine(a: Profile, b: Profile) -> Profile:
     wl = dict(a.wl)
     for k, c in b.wl.items():
         wl[k] = wl.get(k, 0.0) + c
-    modal = max(venues.items(), key=lambda kv: (kv[1], kv[0]))[0] if venues else None
     return Profile(
         vertex_id=a.vertex_id,
         name=a.name,
         n_papers=a.n_papers + b.n_papers,
         venues=venues,
-        modal_venue=modal,
+        modal_venue=modal_venue(venues),
         keywords=kws,
         wl=wl,
         wl_norm=float(np.sqrt(sum(c * c for c in wl.values()))),

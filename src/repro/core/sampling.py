@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.gammas import GAMMA_NAMES, CorpusStats, Profile, gamma_vector
+from repro.core.gammas import GAMMA_NAMES, CorpusStats, Profile, gamma_vector, modal_venue
 
 #: Papers a vertex needs before it is split into a matched pair.
 MIN_PAPERS = 6
@@ -44,9 +44,6 @@ def split_profile(p: Profile, rng: np.random.Generator) -> tuple[Profile, Profil
     def rebuild_kw(half: dict[str, int]) -> dict[str, tuple[int, int, int]]:
         return {k: (c, p.keywords[k][1], p.keywords[k][2]) for k, c in half.items()}
 
-    def modal(v: dict[str, int]) -> str | None:
-        return max(v.items(), key=lambda kv: (kv[1], kv[0]))[0] if v else p.modal_venue
-
     # Structural features (WL map, triangles) are dropped from the halves:
     # a genuine cross-phase matched pair has disjoint collaboration
     # structure, so keeping the parent's identical WL/triangles would teach
@@ -57,7 +54,7 @@ def split_profile(p: Profile, rng: np.random.Generator) -> tuple[Profile, Profil
         name=p.name,
         n_papers=n,
         venues=v,
-        modal_venue=modal(v),
+        modal_venue=modal_venue(v) if v else p.modal_venue,
         keywords=rebuild_kw(kws),
         wl={},
         wl_norm=0.0,

@@ -11,8 +11,8 @@ Occurrences covered by no SCR in their paper stay singleton vertices.
 
 Dataflow, one shuffle per step:
 
-* name pairs are generated in-row from each co-author list (a double
-  ``explode``), so SCR mining is a single aggregation;
+* name pairs are generated in-row from each co-author list
+  (``repro.graph.pairs``), so SCR mining is a single aggregation;
 * partner pairs are generated in-row from each name's partner list and
   closed against the SCRs by one join; the per-name union–find runs inside
   ``applyInPandas`` (``repro.graph.components``);
@@ -28,6 +28,7 @@ from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
 from repro.graph.components import components_per_group
+from repro.graph.pairs import pair_counts, pairs_in_row
 
 #: separator between a name and its component label in an SCR vertex id.
 VSEP = "#"
@@ -53,14 +54,6 @@ class SCN:
     edges: DataFrame
 
 
-def _pairs_in_row(df: DataFrame, items: str, a: str, b: str, *keep: str) -> DataFrame:
-    """(*keep, a, b): every ordered pair of slots of the array column
-    ``items``, generated within the row by a double ``explode``."""
-    return df.select(*keep, items, F.explode(items).alias(a)).select(
-        *keep, a, F.explode(items).alias(b)
-    )
-
-
 def mine_scrs(papers: DataFrame, *, eta: int) -> DataFrame:
     """η-SCRs by direct pair counting: (a, b, cnt) with a < b, cnt >= eta.
 
@@ -68,13 +61,7 @@ def mine_scrs(papers: DataFrame, *, eta: int) -> DataFrame:
     ``pyspark.ml.fpm.FPGrowth`` and a DuckDB oracle): the pairs come from
     each co-author list in-row, so one aggregation shuffle does all the work.
     """
-    return (
-        _pairs_in_row(papers, "names", "a", "b")
-        .where(F.col("a") < F.col("b"))
-        .groupBy("a", "b")
-        .agg(F.count("*").alias("cnt"))
-        .where(F.col("cnt") >= eta)
-    )
+    return pair_counts(papers, "names", "a", "b").where(F.col("cnt") >= eta)
 
 
 def partner_components(scrs: DataFrame) -> DataFrame:
@@ -92,10 +79,8 @@ def partner_components(scrs: DataFrame) -> DataFrame:
 
     # Candidate partner edges: pairs of one name's partners, closed by an SCR.
     lists = partners.groupBy("name").agg(F.collect_list("partner").alias("partners"))
-    partner_edges = (
-        _pairs_in_row(lists, "partners", "u", "v", "name")
-        .where(F.col("u") < F.col("v"))
-        .join(scrs.select(F.col("a").alias("u"), F.col("b").alias("v")), ["u", "v"])
+    partner_edges = pairs_in_row(lists, "partners", "u", "v", "name").join(
+        scrs.select(F.col("a").alias("u"), F.col("b").alias("v")), ["u", "v"]
     )
     # A self-loop per partner puts isolated partners into the union–find as
     # their own component.

@@ -36,6 +36,8 @@ import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import types as T
 
+from repro.text.keywords import STOPWORDS
+
 _N_PAPERS_PER_SF = 200_000
 _N_NAMES_PER_SF = 36_000
 _TOPIC_GROUP_SIZE = 45
@@ -45,12 +47,6 @@ _TOPIC_SUPPORT = 40
 _AUTHOR_SUPPORT = 12          # personal keyword sub-vocabulary within a topic
 _N_VENUES_PER_SF = 900
 _VENUES_PER_TOPIC = 6
-
-STOPWORDS = (
-    "a an and are as at based by for from in into of on the to towards "
-    "using via with approach method system model study analysis new novel "
-    "toward"
-).split()
 
 PAPER_SCHEMA = T.StructType(
     [

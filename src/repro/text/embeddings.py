@@ -7,10 +7,10 @@ PMI → SVD. This preserves the property γ₃ relies on — cosine similarity
 reflects topical relatedness — and is the classic count-based equivalent of
 Word2Vec (Levy & Goldberg 2014 show SGNS factorises shifted PMI).
 
-Co-occurrence counting is Spark dataflow: keyword pairs are generated
-in-row from each paper's keyword list (``repro.text.keywords``), so one
-aggregation counts them. The PPMI/SVD factorisation of the small
-vocab×vocab matrix runs in numpy on the driver, in ``ppmi_svd``, which the
+Co-occurrence counting is Spark dataflow: ``repro.graph.pairs`` counts the
+keyword pairs of every paper's keyword list (``repro.text.keywords``) in
+one aggregation. The PPMI/SVD factorisation of the small vocab×vocab
+matrix runs in numpy on the driver, in ``ppmi_svd``, which the
 driver-side baselines share.
 """
 from __future__ import annotations
@@ -20,21 +20,10 @@ from typing import Mapping
 import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame
-from pyspark.sql import functions as F
+
+from repro.graph.pairs import pair_counts
 
 MAX_VOCAB = 6000
-
-
-def cooccurrence(papers: DataFrame) -> DataFrame:
-    """(w1, w2, cnt) for unordered keyword pairs sharing a title (w1 < w2);
-    ``papers`` holds each paper's distinct keywords as the list ``kws``."""
-    return (
-        papers.select("kws", F.explode("kws").alias("w1"))
-        .select("w1", F.explode("kws").alias("w2"))
-        .where(F.col("w1") < F.col("w2"))
-        .groupBy("w1", "w2")
-        .agg(F.count("*").alias("cnt"))
-    )
 
 
 def ppmi_svd(M: np.ndarray, dim: int) -> np.ndarray:
@@ -67,7 +56,7 @@ def word_vectors(papers: DataFrame, counts: Mapping[str, int], *, dim: int = 64)
     if V == 0:
         return pd.DataFrame({"keyword": [], "vec": []})
 
-    co = cooccurrence(papers).collect()
+    co = pair_counts(papers, "kws", "w1", "w2").collect()
     M = np.zeros((V, V))
     for r in co:
         i, j = index.get(r["w1"]), index.get(r["w2"])

@@ -1,19 +1,31 @@
-"""Title → keyword extraction as Spark dataflow.
+"""Title → keyword extraction: one rule, as a Spark Column and in Python.
 
 The paper's γ₃/γ₄ use title *keywords*: tokens minus stop words and minus
-the most frequent title words. Each paper's keyword list is computed
-in-row from its title; ``FB(b)`` (eq. 7) and ``FH`` come from one corpus
-count taken on the way.
+the most frequent title words. The batch computes each paper's keyword
+list in-row with ``title_keywords``, and ``FB(b)`` (eq. 7) and ``FH`` from
+one corpus count taken on the way; ``title_tokens`` splits a title the
+same way for the incremental judge and the driver-side baselines.
 """
 from __future__ import annotations
 
 import dataclasses
+import re
 from typing import Iterable
 
 from pyspark.sql import Column, DataFrame
 from pyspark.sql import functions as F
 
-from repro.dblp.generator import STOPWORDS
+STOPWORDS = (
+    "a an and are as at based by for from in into of on the to towards "
+    "using via with approach method system model study analysis new novel "
+    "toward"
+).split()
+#: share of the papers above which a title word is dropped as frequent.
+FREQUENT_CUT = 0.02
+
+# Java's \s, which F.split applies; Python's \s also matches NBSP and em space.
+_SPACE = r"[ \t\n\x0b\f\r]+"
+_STOP = frozenset(STOPWORDS)
 
 
 @dataclasses.dataclass
@@ -34,19 +46,25 @@ def title_keywords(title: Column, drop: Iterable[str]) -> Column:
     """The distinct lower-cased whitespace tokens of ``title``, without
     empty tokens and without the words in ``drop``; empty for a null title."""
     drop = sorted(set(drop))
-    tokens = F.split(F.lower(F.coalesce(title, F.lit(""))), r"\s+")
+    tokens = F.split(F.lower(F.coalesce(title, F.lit(""))), _SPACE)
     return F.array_distinct(F.filter(tokens, lambda t: (t != "") & ~t.isin(*drop)))
 
 
-def keywords(papers: DataFrame, *, top_frequent_cut: float = 0.02) -> Keywords:
+def title_tokens(title: str | None) -> list[str]:
+    """The lower-cased whitespace tokens of ``title`` that are no stop
+    words, in order and with repeats; empty for ``None``. De-duplicated,
+    they are ``title_keywords(title, STOPWORDS)``."""
+    return [t for t in re.split(_SPACE, (title or "").lower()) if t and t not in _STOP]
+
+
+def keywords(papers: DataFrame, *, top_frequent_cut: float = FREQUENT_CUT) -> Keywords:
     """Keyword lists after stop-word and frequency filtering, with FB and FH.
 
     One ``groupBy(is_kw, key).count()`` over every paper's tokens and venue,
     collected once, gives each token's document frequency, FH and the
     number of papers N = Σ FH. Tokens in more than ``top_frequent_cut`` · N
-    papers are dropped from the lists the way stop words are (the paper
-    excludes "the frequent words in paper titles"; generic filler words
-    carry no interest signal); at most (mean title length) /
+    papers are dropped from the lists the way stop words are (generic
+    filler words carry no interest signal); at most (mean title length) /
     ``top_frequent_cut`` tokens can be that frequent, so the dropped-word
     literal stays small. FB is the document frequency of a kept keyword.
     """

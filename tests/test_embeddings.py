@@ -5,7 +5,8 @@ import pytest
 
 from repro.baselines.embed import local_keywords, local_word_vectors
 from repro.dblp.generator import PAPER_SCHEMA
-from repro.text.embeddings import cooccurrence, word_vectors
+from repro.graph.pairs import pair_counts
+from repro.text.embeddings import word_vectors
 from repro.text.keywords import keywords
 
 
@@ -26,7 +27,7 @@ def topic_papers(spark):
 class TestSparkEmbeddings:
     def test_cooccurrence_counts(self, spark, topic_papers):
         kw = keywords(topic_papers, top_frequent_cut=1.0)
-        co = {(r.w1, r.w2): r.cnt for r in cooccurrence(kw.papers).collect()}
+        co = {(r.w1, r.w2): r.cnt for r in pair_counts(kw.papers, "kws", "w1", "w2").collect()}
         assert co[("cat", "dog")] == 10
         assert co[("algebra", "matrix")] == 10
         assert co[("algebra", "cat")] == 1

@@ -15,6 +15,7 @@ from repro.core.gammas import (
     g5_repr_community,
     g6_community,
     gamma_vector,
+    modal_venue,
 )
 
 
@@ -28,14 +29,13 @@ def mk_profile(
     triangles=(),
 ):
     venues = venues if venues is not None else {}
-    modal = max(venues.items(), key=lambda kv: (kv[1], kv[0]))[0] if venues else None
     wl = wl or {}
     return Profile(
         vertex_id=vid,
         name=name,
         n_papers=n_papers,
         venues=venues,
-        modal_venue=modal,
+        modal_venue=modal_venue(venues),
         keywords=keywords or {},
         wl=wl,
         wl_norm=math.sqrt(sum(c * c for c in wl.values())),

@@ -6,6 +6,7 @@ import pytest
 from repro.core.em import EMParams, FeatureParams, fit_em, score_array
 from repro.core.gcn import build_gcn, score_pairs
 from repro.core.gammas import GAMMA_NAMES
+from repro.oracle import assert_equivalent
 
 
 def pairs_pdf(rows):
@@ -141,3 +142,17 @@ class TestBuildGcn:
         gcn = build_gcn(asg, scored, delta=0.0)
         edges = {(r.u, r.v): r.cnt for r in gcn.edges.collect()}
         assert edges == {("m#z", "n#a"): 1}
+
+    def test_edges_equal_self_join_count(self, spark, model):
+        """On the session model, the in-row edges are the self-join count of
+        final-vertex pairs sharing a paper."""
+        assert_equivalent(
+            model.gcn.edges,
+            """
+            SELECT x.gcn_vertex AS u, y.gcn_vertex AS v, COUNT(*) AS cnt
+            FROM asg x JOIN asg y ON x.paper_id = y.paper_id
+            WHERE x.gcn_vertex < y.gcn_vertex
+            GROUP BY x.gcn_vertex, y.gcn_vertex
+            """,
+            asg=model.gcn.assignments,
+        )

@@ -3,12 +3,8 @@ import numpy as np
 import pandas as pd
 import pytest
 
-from repro.dblp.generator import (
-    PAPER_SCHEMA,
-    STOPWORDS,
-    author_paper_pairs,
-    generate,
-)
+from repro.dblp.generator import PAPER_SCHEMA, author_paper_pairs, generate
+from repro.text.keywords import STOPWORDS
 # Aliased imports: pytest would collect names starting with `test` from this
 # namespace as test items.
 from repro.dblp.testing import testing_occurrences as make_testing_occurrences

@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.em import EMParams, FeatureParams
 from repro.core.gammas import GAMMA_NAMES, CorpusStats
-from repro.core.incremental import IncrementalJudge, _combine, paper_keywords, profile_for_paper
+from repro.core.incremental import IncrementalJudge, _combine, profile_for_paper
 from tests.test_gammas import mk_profile
 
 
@@ -62,8 +62,10 @@ def graph_paper(pid=99, venue="V1"):
 
 class TestPaperProfile:
     def test_keywords_filtered_to_vocab(self, stats):
-        kws = paper_keywords("the graph kernel of nowhere", stats)
-        assert kws == ["graph", "kernel"]
+        """A new paper's keywords are its title tokens (``title_tokens``)
+        that FB holds, de-duplicated and sorted."""
+        paper = {**graph_paper(), "title": "the Kernel\tgraph of  nowhere graph"}
+        assert list(profile_for_paper(paper, "n", stats).keywords) == ["graph", "kernel"]
 
     def test_profile_shape(self, stats):
         p = profile_for_paper(graph_paper(), "n", stats)

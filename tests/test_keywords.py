@@ -3,9 +3,18 @@ import pandas as pd
 import pytest
 from pyspark.sql import functions as F
 
-from repro.dblp.generator import PAPER_SCHEMA, STOPWORDS
+from repro.core.gammas import CorpusStats
+from repro.core.incremental import profile_for_paper
+from repro.dblp.generator import PAPER_SCHEMA
 from repro.oracle import assert_equivalent
-from repro.text.keywords import keywords, title_keywords
+from repro.text.keywords import STOPWORDS, keywords, title_keywords, title_tokens
+
+#: Titles the generator never writes: Java's \s (Spark's split) and
+#: Python's str.split() disagree on NBSP and em space.
+ODD_TITLES = [
+    "graph\tkernels", "deep  graph", " leading space", "graph\xa0kernels",
+    "x\u2003y", "UPPER Case Graph", "the of a", None,
+]
 
 
 @pytest.fixture(scope="module")
@@ -89,3 +98,22 @@ class TestKeywords:
         kws = keyword_rows(kw)
         assert not (set(kws.keyword) & set(STOPWORDS))
         assert set(kws.keyword) == set(kw.fb)
+
+
+@pytest.mark.spark
+def test_batch_and_stream_read_titles_alike(spark, corpus):
+    """Every corpus title and each odd title gives the same keywords in
+    Spark's ``title_keywords(STOPWORDS)``, in de-duplicated
+    ``title_tokens`` and in the incremental judge's new-paper profile."""
+    titles = [*corpus.papers.title, *ODD_TITLES]
+    df = spark.createDataFrame(list(enumerate(titles)), "i long, title string")
+    batch = {
+        r.i: r.kws
+        for r in df.select("i", title_keywords(F.col("title"), STOPWORDS).alias("kws")).collect()
+    }
+    vocab = {t for kws in batch.values() for t in kws}
+    stats = CorpusStats(fb=dict.fromkeys(vocab, 1), fh={}, word_vectors={}, dim=0)
+    for i, title in enumerate(titles):
+        assert list(dict.fromkeys(title_tokens(title))) == batch[i], repr(title)
+        paper = {"paper_id": i, "names": ["n"], "title": title, "venue": "V", "year": 2000}
+        assert list(profile_for_paper(paper, "n", stats).keywords) == sorted(batch[i]), repr(title)

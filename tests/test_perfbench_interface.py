@@ -1,0 +1,79 @@
+"""The names the benchmark takes from ``repro`` exist.
+
+``perfbench/`` imports ``repro`` names at module level and inside
+functions, and ``perfbench/spans.py`` swaps layer functions by (module,
+attribute). A renamed or moved name would only show when the benchmark
+runs, as an exit before any result is printed; here it fails the suite.
+The benchmark's files are read, never changed.
+"""
+import ast
+import importlib
+import importlib.util
+import sys
+from pathlib import Path
+
+import pytest
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def _repro_imports() -> list[tuple[str, str, str]]:
+    """(file, module, name) for every ``from repro... import name`` in
+    ``perfbench/*.py``, at any depth."""
+    out = []
+    for path in sorted(PERFBENCH.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "repro":
+                out += [(path.name, node.module, a.name) for a in node.names]
+    return out
+
+
+def _resolves(module: str, name: str) -> bool:
+    """Whether ``from module import name`` would succeed."""
+    if hasattr(importlib.import_module(module), name):
+        return True
+    try:  # a submodule not imported yet
+        return importlib.util.find_spec(f"{module}.{name}") is not None
+    except ModuleNotFoundError:  # ``module`` is no package
+        return False
+
+
+@pytest.fixture(scope="module")
+def spans():
+    """``perfbench/spans.py`` loaded as a module, without writing bytecode
+    next to it."""
+    spec = importlib.util.spec_from_file_location("perfbench_spans", PERFBENCH / "spans.py")
+    mod = importlib.util.module_from_spec(spec)
+    dont_write, sys.dont_write_bytecode = sys.dont_write_bytecode, True
+    sys.modules[spec.name] = mod
+    try:
+        spec.loader.exec_module(mod)
+        yield mod
+    finally:
+        sys.dont_write_bytecode = dont_write
+        del sys.modules[spec.name]
+
+
+def test_every_repro_import_resolves():
+    imports = _repro_imports()
+    files = {f for f, _, _ in imports}
+    assert {"checks.py", "run.py"} <= files, files
+    missing = [f"{f}: from {m} import {n}" for f, m, n in imports if not _resolves(m, n)]
+    assert not missing, "\n".join(missing)
+
+
+def test_traced_layers_exist(spans):
+    for mod_name, attr in spans.LAYERS:
+        assert callable(getattr(importlib.import_module(mod_name), attr, None)), (mod_name, attr)
+
+
+def test_patched_restores_the_layers(spans):
+    originals = {k: getattr(importlib.import_module(k[0]), k[1]) for k in spans.LAYERS}
+    current = lambda: {k: getattr(importlib.import_module(k[0]), k[1]) for k in spans.LAYERS}  # noqa: E731
+    with spans.patched(spans.Tracer(sc=None)):
+        swapped = current()
+    assert all(swapped[k] is not fn for k, fn in originals.items())
+    assert all(current()[k] is fn for k, fn in originals.items())
+    with pytest.raises(RuntimeError), spans.patched(spans.Tracer(sc=None)):
+        raise RuntimeError("a failing traced run")
+    assert all(current()[k] is fn for k, fn in originals.items())

@@ -1,8 +1,12 @@
 """Per-vertex profile aggregation."""
+import pandas as pd
 import pytest
 from pyspark.sql import functions as F
 
-from repro.core.profiles import row_to_profile
+from repro.core.gammas import modal_venue
+from repro.core.profiles import build_profiles, row_to_profile
+from repro.core.scn import build_scn
+from repro.dblp.generator import PAPER_SCHEMA
 from repro.oracle import assert_equivalent
 
 
@@ -42,6 +46,25 @@ class TestProfiles:
                 venues = dict(zip(r.venue_names, r.venue_counts))
                 best = max(venues.values())
                 assert venues[r.modal_venue] == best
+                assert r.modal_venue == modal_venue(venues)
+
+    def test_modal_venue_tie_goes_to_larger_name(self, spark):
+        """One vertex, one paper at each of two venues: the Catalyst rule in
+        ``build_profiles`` and ``gammas.modal_venue`` both pick the larger
+        name, whatever the order of the venues."""
+        rows = [
+            (0, [0, 1], ["n", "m"], "graph kernels", "VB", 2000),
+            (1, [0, 1], ["n", "m"], "graph kernels", "VA", 2001),
+        ]
+        pdf = pd.DataFrame(rows, columns=["paper_id", "authors", "names", "title", "venue", "year"])
+        papers = spark.createDataFrame(pdf, schema=PAPER_SCHEMA)
+        profiles = build_profiles(papers, build_scn(papers, eta=2)).profiles.collect()
+        assert sorted(r.vertex_id for r in profiles) == ["m#n", "n#m"]
+        for r in profiles:
+            assert dict(zip(r.venue_names, r.venue_counts)) == {"VA": 1, "VB": 1}
+            assert r.modal_venue == "VB"
+        assert modal_venue({"VA": 1, "VB": 1}) == modal_venue({"VB": 1, "VA": 1}) == "VB"
+        assert modal_venue({}) is None
 
     def test_singletons_have_no_structure(self, spark, profile_set):
         sing = profile_set.profiles.where(F.col("vertex_id").contains("@"))
