@@ -64,7 +64,9 @@ class FeatureExtractor:
         # tf-idf cosine over title tokens
         v1 = Counter(self._tokens[p1])
         v2 = Counter(self._tokens[p2])
-        dot = sum(v1[t] * v2[t] * self._idf(t) ** 2 for t in set(v1) & set(v2))
+        # Summed in sorted order: set order follows the per-process string
+        # hash seed, and the sum's last bit would follow it too.
+        dot = sum(v1[t] * v2[t] * self._idf(t) ** 2 for t in sorted(v1.keys() & v2.keys()))
         n1 = math.sqrt(sum((c * self._idf(t)) ** 2 for t, c in v1.items()))
         n2 = math.sqrt(sum((c * self._idf(t)) ** 2 for t, c in v2.items()))
         cos = dot / (n1 * n2) if n1 > 0 and n2 > 0 else 0.0

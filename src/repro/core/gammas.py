@@ -2,17 +2,22 @@
 
 A vertex is summarised by a *profile* (built in ``core.profiles`` by Spark
 aggregation); the γ vector of a vertex pair is a pure function of the two
-profiles plus corpus statistics. This single implementation backs both the
-batch path (``core.similarity`` calls it per name group inside
-``applyInPandas`` — the per-partition posterior dataflow) and the
-incremental path (``core.incremental`` calls it for one new paper against
-existing vertices).
+profiles plus corpus statistics.
+
+``gamma_block`` is the one kernel the pipeline runs: the γ of every pair of
+two profile sequences as one numpy block. It backs the batch path
+(``core.similarity``, one block per name inside each partition), the
+incremental judge (one new paper against its name's vertices) and the
+split-pair sampling. ``gamma_vector`` and the ``g*`` functions spell the
+equations out pair by pair; they are the reference the kernel is tested
+against and are not called by the pipeline.
 """
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
-from typing import Mapping
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -22,6 +27,9 @@ import numpy as np
 ALPHA = 0.62
 
 GAMMA_NAMES = ("g1_wl", "g2_clique", "g3_interest", "g4_time", "g5_repr_comm", "g6_comm")
+#: Most (keyword entry, vertex) cells ``gamma_block`` forms γ₄ terms for at
+#: once, which bounds its memory whatever the block's size.
+TERM_CHUNK = 1 << 20
 
 
 @dataclasses.dataclass
@@ -140,3 +148,147 @@ def gamma_vector(pi: Profile, pj: Profile, stats: CorpusStats) -> np.ndarray:
             g6_community(pi, pj, tau, stats),
         ]
     )
+
+
+def gamma_block(a: Sequence[Profile], b: Sequence[Profile], stats: CorpusStats) -> np.ndarray:
+    """γ of every pair (a[i], b[j]) as an (m, n, 6) array.
+
+    Equal to ``gamma_vector(a[i], b[j], stats)`` up to the order of the
+    floating-point sums. Each feature of the two sides becomes dense
+    matrices over the sides' joint local vocabulary, and γ₁, γ₂, γ₃, γ₅ and
+    γ₆ are products of those. γ₄ sums one term per keyword a pair shares,
+    formed in chunks of at most TERM_CHUNK cells, so memory stays
+    O(m·n + (m + n)·V) and never O(m·n·V).
+    """
+    m, n = len(a), len(b)
+    out = np.zeros((m, n, len(GAMMA_NAMES)))
+    if not m or not n:
+        return out
+    tau = np.maximum(1.0, np.minimum.outer(_field(a, "n_papers"), _field(b, "n_papers")))
+
+    # γ₁: inner products of the WL count maps over the product of norms.
+    if wl := _Feature.shared(a, b, "wl", width=1):
+        norms = np.outer(_field(a, "wl_norm"), _field(b, "wl_norm"))
+        wa, wb = wl.dense_pair(field=0)
+        out[..., 0] = _ratio(wa @ wb.T, norms)
+
+    # γ₂: shared triangle literals.
+    if tri := _Feature.shared(a, b, "triangles", width=0):
+        ta, tb = tri.dense_pair()
+        out[..., 1] = ta @ tb.T / tau
+
+    # γ₃: cosine of the count-weighted keyword vector sums (the cosine of
+    # the means); γ₄: decayed terms of the shared keywords.
+    if kw := _Feature.shared(a, b, "keywords", width=3):  # count, min year, max year
+        zero = np.zeros(stats.dim)
+        vec = np.array([stats.word_vectors.get(w, zero) for w in kw.vocab])
+        ca, cb = kw.dense_pair(field=0)
+        sa, sb = ca @ vec, cb @ vec
+        norms = np.outer(np.sqrt((sa * sa).sum(1)), np.sqrt((sb * sb).sum(1)))
+        out[..., 2] = _ratio(sa @ sb.T, norms)
+        out[..., 3] = _time_terms(kw, stats) / tau
+
+    # γ₅: each side's count of the other's modal venue; γ₆: shared venues
+    # weighted by 1/log FH. Column len(vocab) stays zero: it is the modal
+    # column of a vertex without one.
+    ven = _Feature(a, b, "venues", width=1)
+    ha, hb = ven.dense_pair(field=0, extra=1)
+    none = len(ven.vocab)
+    ma, mb = ([ven.vocab.get(p.modal_venue, none) if p.modal_venue else none for p in ps]
+              for ps in (a, b))
+    out[..., 4] = (hb[:, ma].T + ha[:, mb]) / tau
+    if len(ven.a.cols) and len(ven.b.cols):
+        inv_log_fh = [1.0 / math.log(max(stats.fh.get(h, 2), 2)) for h in ven.vocab]
+        pa, pb = ven.dense_pair()
+        out[..., 5] = (pa * inv_log_fh) @ pb.T / tau
+    return out
+
+
+def _field(profiles: Sequence[Profile], attr: str) -> np.ndarray:
+    return np.array([getattr(p, attr) for p in profiles], dtype=float)
+
+
+class _Side(NamedTuple):
+    """One side's entries of a feature: one per key of each profile."""
+
+    n: int                # profiles
+    rows: np.ndarray      # profile of each entry
+    cols: np.ndarray      # vocabulary column of each entry
+    vals: np.ndarray      # (entries × width) values; width 0 for a set
+
+
+class _Feature:
+    """One feature of two sides over their joint local vocabulary
+    (key -> column): ``attr`` is a set of ``Profile`` (``width`` 0) or a
+    mapping whose values are numbers (``width`` 1) or tuples of ``width``
+    numbers."""
+
+    def __init__(self, a: Sequence[Profile], b: Sequence[Profile], attr: str, width: int) -> None:
+        self.vocab: dict = {}
+        self.a = self._side(a, attr, width)
+        # Side a's keys come first: its entries read columns < a_keys.
+        self.a_keys = len(self.vocab)
+        self.b = self.a if b is a else self._side(b, attr, width)
+
+    @classmethod
+    def shared(cls, a: Sequence[Profile], b: Sequence[Profile], attr: str, width: int):
+        """The feature, or None when a side has no entries: every product
+        of the two sides is then 0 (side b is not built when a has none)."""
+        if not any(getattr(p, attr) for p in a):
+            return None
+        f = cls(a, b, attr, width)
+        return f if len(f.b.cols) else None
+
+    def _side(self, profiles: Sequence[Profile], attr: str, width: int) -> _Side:
+        maps = [getattr(p, attr) for p in profiles]
+        keys = (k for mp in maps for k in mp)
+        cols = np.array([self.vocab.setdefault(k, len(self.vocab)) for k in keys], dtype=np.intp)
+        rows = np.repeat(np.arange(len(maps)), [len(mp) for mp in maps])
+        flat = itertools.chain.from_iterable(mp.values() for mp in maps) if width else ()
+        if width > 1:
+            flat = itertools.chain.from_iterable(flat)
+        vals = np.fromiter(flat, float, width * len(cols)).reshape(len(cols), width)
+        return _Side(len(maps), rows, cols, vals)
+
+    def dense(self, side: _Side, field: int | None = None, extra: int = 0) -> np.ndarray:
+        """(profiles × vocabulary + ``extra``) matrix of one value column,
+        or of 1 per key with ``field`` None."""
+        out = np.zeros((side.n, len(self.vocab) + extra))
+        out[side.rows, side.cols] = 1.0 if field is None else side.vals[:, field]
+        return out
+
+    def dense_pair(self, field: int | None = None, extra: int = 0):
+        """``dense`` of both sides; one matrix when they are the same."""
+        da = self.dense(self.a, field, extra)
+        return da, (da if self.b is self.a else self.dense(self.b, field, extra))
+
+
+def _ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
+    """num / den, and 0 where den is 0."""
+    out = np.zeros_like(num)
+    np.divide(num, den, out=out, where=den != 0)
+    return out
+
+
+def _time_terms(kw: _Feature, stats: CorpusStats) -> np.ndarray:
+    """γ₄ numerators (m × n): over the keywords a pair shares, the sum of
+    exp(-α·gap) / log FB, where gap is the distance between the two
+    usage-year intervals (0 when they overlap).
+
+    Each a entry meets every b row that uses its keyword; the terms are
+    formed for runs of a entries with at most TERM_CHUNK (entry, b row)
+    cells at a time."""
+    a, b = kw.a, kw.b
+    has_b, lo_b, hi_b = kw.dense(b), kw.dense(b, field=1), kw.dense(b, field=2)
+    fb = (max(stats.fb.get(w, 2), 2) for w in itertools.islice(kw.vocab, kw.a_keys))
+    inv_log_fb = np.array([1.0 / math.log(c) for c in fb])
+    acc = np.zeros(a.n * b.n)
+    step = max(1, TERM_CHUNK // b.n)
+    for start in range(0, len(a.cols), step):
+        e, j = np.nonzero(has_b.T[a.cols[start:start + step]])
+        e += start
+        w, va = a.cols[e], a.vals[e]
+        gap = np.maximum(0.0, np.maximum(va[:, 1], lo_b[j, w]) - np.minimum(va[:, 2], hi_b[j, w]))
+        terms = np.exp(-stats.alpha * gap) * inv_log_fb[w]
+        acc += np.bincount(a.rows[e] * b.n + j, terms, acc.size)
+    return acc.reshape(a.n, b.n)

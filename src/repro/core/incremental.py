@@ -4,8 +4,10 @@ A newly published paper by name *a* is an isolated vertex v^a. We compute
 its γ vector against every existing GCN vertex named *a*, score with the
 already-fitted parameters (posterior only — no retraining), and assign it
 to the arg-max vertex iff that score clears δ; otherwise it stays a new
-isolated vertex. ``assimilate`` folds the paper into the chosen vertex's
-profile so a stream of papers can be judged one by one.
+isolated vertex. The γ row is one 1×k call of ``gammas.gamma_block``, the
+kernel the batch pairs use. ``assimilate`` folds the paper into the chosen
+vertex's profile so a stream of papers can be judged one by one; it reuses
+the profile ``judge`` built for the same occurrence.
 """
 from __future__ import annotations
 
@@ -15,7 +17,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from repro.core.em import EMParams, score_array
-from repro.core.gammas import CorpusStats, Profile, gamma_vector, modal_venue
+from repro.core.gammas import CorpusStats, Profile, gamma_block, modal_venue
 from repro.core.profiles import row_to_profile
 from repro.text.keywords import title_tokens
 
@@ -55,6 +57,8 @@ class IncrementalJudge:
         self.params = params
         self.delta = delta
         self.by_name: dict[str, list[Profile]] = {}
+        # (paper, name, profile) of the occurrence judged last, for assimilate.
+        self._judged: tuple[Mapping, str, Profile] | None = None
         for p in profiles:
             self.by_name.setdefault(p.name, []).append(p)
 
@@ -82,8 +86,8 @@ class IncrementalJudge:
         if not cands:
             return None, float("-inf")
         q = profile_for_paper(paper, name, self.stats)
-        X = np.stack([gamma_vector(q, c, self.stats) for c in cands])
-        scores = score_array(X, self.params)
+        self._judged = (paper, name, q)
+        scores = score_array(gamma_block([q], cands, self.stats)[0], self.params)
         k = int(np.argmax(scores))
         if scores[k] >= self.delta:
             return cands[k].vertex_id, float(scores[k])
@@ -92,7 +96,11 @@ class IncrementalJudge:
     def assimilate(self, paper: Mapping, name: str, vertex_id: str | None) -> str:
         """Fold the paper into ``vertex_id`` (or create a new isolated
         vertex when None); returns the final vertex id."""
-        q = profile_for_paper(paper, name, self.stats)
+        judged, self._judged = self._judged, None
+        if judged is not None and judged[0] is paper and judged[1] == name:
+            q = judged[2]
+        else:
+            q = profile_for_paper(paper, name, self.stats)
         if vertex_id is None:
             self.by_name.setdefault(name, []).append(q)
             return q.vertex_id

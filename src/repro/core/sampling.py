@@ -16,10 +16,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.gammas import GAMMA_NAMES, CorpusStats, Profile, gamma_vector, modal_venue
+from repro.core.gammas import GAMMA_NAMES, CorpusStats, Profile, gamma_block, modal_venue
 
 #: Papers a vertex needs before it is split into a matched pair.
 MIN_PAPERS = 6
+#: Split pairs per ``gamma_block`` call.
+SPLIT_BLOCK = 32
 
 
 def split_profile(p: Profile, rng: np.random.Generator) -> tuple[Profile, Profile]:
@@ -77,9 +79,9 @@ def synthetic_matched_gammas(
     pool = [p for p in profiles if p.n_papers >= MIN_PAPERS]
     if not pool or n <= 0:
         return np.zeros((0, len(GAMMA_NAMES)))
-    out = []
-    for _ in range(n):
-        p = pool[int(rng.integers(len(pool)))]
-        a, b = split_profile(p, rng)
-        out.append(gamma_vector(a, b, stats))
-    return np.stack(out)
+    a, b = zip(*(split_profile(pool[int(rng.integers(len(pool)))], rng) for _ in range(n)))
+    # One kernel call per run of SPLIT_BLOCK split pairs: the block's
+    # diagonal holds the pairs, and the call's fixed cost is shared.
+    blocks = (gamma_block(a[i:i + SPLIT_BLOCK], b[i:i + SPLIT_BLOCK], stats)
+              for i in range(0, n, SPLIT_BLOCK))
+    return np.concatenate([np.diagonal(g).T for g in blocks])

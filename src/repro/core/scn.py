@@ -14,8 +14,8 @@ Dataflow, one shuffle per step:
 * name pairs are generated in-row from each co-author list
   (``repro.graph.pairs``), so SCR mining is a single aggregation;
 * partner pairs are generated in-row from each name's partner list and
-  closed against the SCRs by one join; the per-name union–find runs inside
-  ``applyInPandas`` (``repro.graph.components``);
+  closed against the SCRs by one join; the per-name union–finds run in one
+  ``mapInPandas`` call per partition (``repro.graph.components``);
 * the vote joins every occurrence, co-author list in hand, with its name's
   partner → component map and picks the winning component in-row, so
   singletons fall out of the same pass.

@@ -1,20 +1,24 @@
 """Batch similarity computation: γ vectors for all same-name vertex pairs.
 
 Names partition the candidate space (only same-name vertices are ever
-compared), so the dataflow is ``profiles.groupBy("name").applyInPandas`` —
-each partition enumerates its name's vertex pairs and evaluates the shared
-pure-pair math from ``core.gammas``. Corpus statistics ride along in the
-task closure (a few MB of keyword/venue frequencies and word vectors).
+compared), so the profiles are shuffled by name and each partition runs one
+Python call (``mapInPandas``) over its names, in ascending order: per name,
+one ``gamma_block`` of the name's vertices against themselves gives every
+pair. Corpus statistics ride along in the task closure (a few MB of
+keyword/venue frequencies and word vectors).
 """
 from __future__ import annotations
 
 import itertools
+from operator import attrgetter
 
-import pandas as pd
+import numpy as np
 from pyspark.sql import DataFrame
+from pyspark.sql import functions as F
 
-from repro.core.gammas import GAMMA_NAMES, CorpusStats, gamma_vector
+from repro.core.gammas import GAMMA_NAMES, CorpusStats, gamma_block
 from repro.core.profiles import row_to_profile
+from repro.graph.components import in_chunks
 
 PAIR_SCHEMA = (
     "name string, vid_i string, vid_j string, "
@@ -25,20 +29,31 @@ PAIR_SCHEMA = (
 def pair_similarities(profiles: DataFrame, stats: CorpusStats) -> DataFrame:
     """γ vectors for every same-name vertex pair (vid_i < vid_j)."""
 
-    def _pairs(pdf: pd.DataFrame) -> pd.DataFrame:
-        if len(pdf) < 2:
-            return pd.DataFrame(columns=["name", "vid_i", "vid_j", *GAMMA_NAMES])
-        # The output row order decides which pairs run_iuad's seeded 10 %
-        # sample draws, so it is kept fixed.
-        pdf = pdf.sort_values(["n_papers", "vertex_id"], ascending=[False, True])
-        profs = [row_to_profile(r) for _, r in pdf.iterrows()]
-        out = []
-        for pi, pj in itertools.combinations(profs, 2):
-            vi, vj = sorted((pi.vertex_id, pj.vertex_id))
-            if vi != pi.vertex_id:
-                pi, pj = pj, pi
-            g = gamma_vector(pi, pj, stats)
-            out.append((pi.name, vi, vj, *map(float, g)))
-        return pd.DataFrame(out, columns=["name", "vid_i", "vid_j", *GAMMA_NAMES])
+    def _pairs(batches):
+        rows = (r for pdf in batches for r in pdf.to_dict("records"))
+        for name, group in itertools.groupby(map(row_to_profile, rows), attrgetter("name")):
+            profs = list(group)
+            if len(profs) < 2:
+                continue
+            i, j = np.triu_indices(len(profs), 1)
+            vids = np.array([p.vertex_id for p in profs], dtype=object)
+            a, b = vids[i], vids[j]
+            first = a < b
+            gammas = gamma_block(profs, profs, stats)[i, j]
+            names = np.full(len(i), name, object)
+            yield names, np.where(first, a, b), np.where(first, b, a), *gammas.T
 
-    return profiles.groupBy("name").applyInPandas(_pairs, schema=PAIR_SCHEMA)
+    # run_iuad's seeded 10 % sample draws per partition, by row position,
+    # so the partition layout and the row order are kept fixed: names
+    # ascending within a partition, and each name's pairs in the
+    # combination order of its vertices sorted by (n_papers desc,
+    # vertex_id). AQE coalesces the shuffle's partitions by their bytes, so
+    # the shuffled rows carry the name twice, as those of
+    # groupBy("name").applyInPandas did; the copy ``key`` is not read.
+    columns = ["name", "vid_i", "vid_j", *GAMMA_NAMES]
+    return (
+        profiles.select(F.col("name").alias("key"), "*")
+        .repartition("key")
+        .sortWithinPartitions("name", F.desc("n_papers"), "vertex_id")
+        .mapInPandas(lambda batches: in_chunks(_pairs(batches), columns), schema=PAIR_SCHEMA)
+    )

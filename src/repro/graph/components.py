@@ -5,14 +5,16 @@ SCN construction needs, *per name*, the connected components of that name's
 partners — the paper's stable-triangle insertion rule applied transitively).
 GCN construction needs, per name, components over vertices linked by
 score ≥ δ pairs. Both are many small independent graphs keyed by name, so
-the idiomatic Spark shape is ``groupBy(key).applyInPandas`` with a local
-union–find per group — each partition does its own graph work, no global
-iteration.
+the edges are shuffled by name and each partition runs one Python call
+(``mapInPandas``) that keeps one local union–find per name — each partition
+does its own graph work, no global iteration.
 """
 from __future__ import annotations
 
-from typing import Hashable
+from collections import defaultdict
+from typing import Hashable, Iterable, Iterator, Sequence
 
+import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame
 
@@ -48,6 +50,32 @@ class UnionFind:
         return {x: self.find(x) for x in self._parent}
 
 
+#: Rows per output frame of a per-partition call; a frame holds whole
+#: names, so one may hold more.
+CHUNK_ROWS = 10_000
+
+
+def in_chunks(
+    parts: Iterable[Sequence[np.ndarray]], columns: Sequence[str]
+) -> Iterator[pd.DataFrame]:
+    """Frames of at least CHUNK_ROWS rows (the last may hold fewer) from
+    per-name parts, each one equal-length array per column; no frame for
+    no parts."""
+    chunk, rows = [], 0
+    for part in parts:
+        chunk.append(part)
+        rows += len(part[0])
+        if rows >= CHUNK_ROWS:
+            yield _frame(chunk, columns)
+            chunk, rows = [], 0
+    if chunk:
+        yield _frame(chunk, columns)
+
+
+def _frame(chunk: list[Sequence[np.ndarray]], columns: Sequence[str]) -> pd.DataFrame:
+    return pd.DataFrame({c: np.concatenate(col) for c, col in zip(columns, zip(*chunk))})
+
+
 def components_per_group(edges: DataFrame) -> DataFrame:
     """Per-name connected components of string-labelled graphs.
 
@@ -57,19 +85,21 @@ def components_per_group(edges: DataFrame) -> DataFrame:
     component, so output is deterministic and independent of partitioning.
     """
 
-    def _cc(pdf: pd.DataFrame) -> pd.DataFrame:
-        uf = UnionFind()
-        for uu, vv in zip(pdf["u"], pdf["v"]):
-            uf.union(uu, vv)
-        comp = uf.components()
-        return pd.DataFrame(
-            {
-                "name": pdf["name"].iloc[0],
-                "node": list(comp.keys()),
-                "component": list(comp.values()),
-            }
-        )
+    def _cc(batches):
+        ufs: defaultdict[str, UnionFind] = defaultdict(UnionFind)
+        for pdf in batches:
+            for name, u, v in zip(pdf["name"], pdf["u"], pdf["v"]):
+                ufs[name].union(u, v)
+        for name, uf in ufs.items():
+            comp = uf.components()
+            nodes, roots = (np.fromiter(it, object, len(comp)) for it in (comp, comp.values()))
+            yield np.full(len(comp), name, object), nodes, roots
 
-    return edges.select("name", "u", "v").groupBy("name").applyInPandas(
-        _cc, schema="name string, node string, component string"
+    return (
+        edges.select("name", "u", "v")
+        .repartition("name")
+        .mapInPandas(
+            lambda batches: in_chunks(_cc(batches), ["name", "node", "component"]),
+            schema="name string, node string, component string",
+        )
     )

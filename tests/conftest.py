@@ -73,6 +73,22 @@ def model(spark, papers_df):
     return run_iuad(spark, papers_df, eta=ETA, delta=0.0, seed=0)
 
 
+@pytest.fixture
+def shuffle_partitions(spark):
+    """Sets the shuffle partition count with AQE coalescing off; both
+    settings are restored afterwards."""
+    keys = ("spark.sql.shuffle.partitions", "spark.sql.adaptive.coalescePartitions.enabled")
+    before = {k: spark.conf.get(k) for k in keys}
+
+    def set_partitions(n: int) -> None:
+        spark.conf.set(keys[0], str(n))
+        spark.conf.set(keys[1], "false")
+
+    yield set_partitions
+    for k, v in before.items():
+        spark.conf.set(k, v)
+
+
 @pytest.fixture(scope="session")
 def tiny_papers_pdf() -> pd.DataFrame:
     """Hand-written corpus implementing the paper's Fig. 4 running example:

@@ -114,3 +114,27 @@ class TestComponentsPerGroup:
                 for r in out[out.name == gname].itertuples(index=False)
             }
             assert got == expected
+
+    @pytest.mark.parametrize("n", [1, 64])
+    def test_partition_count(self, spark, shuffle_partitions, n):
+        """All names in one partition, or more partitions than names (most
+        of them empty): each name's components are its local union–find's.
+        The names share node labels, some with an apostrophe or non-ASCII
+        letters, whose order decides the component labels."""
+        rng = np.random.default_rng(1)
+        labels = ["a", "b", "o'brien", "o'neil", "b'", "ñandú", "Åsa", "zoë", "Zoe", "c"]
+        rows = []
+        for gname in ["n1", "n2", "o'hara", "Łukasz", "名前"]:
+            for _ in range(12):
+                rows.append((gname, *rng.choice(labels, 2)))
+        pdf = pd.DataFrame(rows, columns=["name", "u", "v"])
+        shuffle_partitions(n)
+        out = components_per_group(spark.createDataFrame(pdf)).toPandas()
+        assert len(out) == len(out[["name", "node"]].drop_duplicates())
+        for gname, grp in pdf.groupby("name"):
+            expected = local_components(list(zip(grp.u, grp.v)))
+            got = {
+                r.node: r.component
+                for r in out[out.name == gname].itertuples(index=False)
+            }
+            assert got == expected, gname

@@ -1,5 +1,10 @@
 """Treeratpituk-style pairwise features for supervised baselines."""
 import math
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pandas as pd
@@ -81,3 +86,33 @@ class TestFeatureExtractor:
         M = fx.pairs_matrix(rows)
         assert M.shape == (2, len(FEATURE_NAMES))
         np.testing.assert_allclose(M[0], fx.pair(0, 1, "T"))
+
+
+#: Prints a digest of the feature matrix of every fifth within-name pair of
+#: the 60 most frequent names of the SF 0.01 corpus (15 550 pairs).
+_MATRIX_DIGEST = textwrap.dedent("""
+    import hashlib
+    from repro.baselines.features import FeatureExtractor
+    from repro.baselines.supervised import labelled_name_pairs
+    from repro.dblp.generator import author_paper_pairs, generate
+
+    papers = generate(sf=0.01, seed=7).papers
+    occ = author_paper_pairs(papers)
+    pairs = labelled_name_pairs(occ, occ.name.value_counts().index[:60].tolist()).iloc[::5]
+    X = FeatureExtractor(papers).pairs_matrix(pairs)
+    print(len(X), hashlib.sha256(X.tobytes()).hexdigest())
+""")
+
+
+def test_pairs_matrix_independent_of_hash_seed():
+    """Two processes with different string hash seeds build bit-identical
+    feature matrices: no sum may follow a set's iteration order."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    out = []
+    for seed in ("1", "2"):
+        env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src}
+        res = subprocess.run([sys.executable, "-c", _MATRIX_DIGEST], env=env, capture_output=True,
+                             text=True, timeout=300, check=True)
+        out.append(res.stdout.split())
+    assert int(out[0][0]) > 10_000
+    assert out[0] == out[1]

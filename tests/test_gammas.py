@@ -1,11 +1,15 @@
 """The six similarity functions as pure pair math."""
+import ast
+import dataclasses
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro.core.gammas import (
     ALPHA,
+    GAMMA_NAMES,
     CorpusStats,
     Profile,
     g1_wl_kernel,
@@ -14,6 +18,7 @@ from repro.core.gammas import (
     g4_time,
     g5_repr_community,
     g6_community,
+    gamma_block,
     gamma_vector,
     modal_venue,
 )
@@ -216,3 +221,120 @@ class TestGammaVector:
         p2 = mk_profile(venues={"V1": 8}, n_papers=8)
         # g5 = (cnt(H2,V1) + cnt(H1,V1)) / min(4,8) = (8+4)/4
         assert gamma_vector(p1, p2, stats)[4] == pytest.approx(3.0)
+
+
+def assert_block_matches(a, b, stats):
+    """``gamma_block`` equals ``gamma_vector`` on every pair, to 1e-12."""
+    block = gamma_block(a, b, stats)
+    assert block.shape == (len(a), len(b), len(GAMMA_NAMES))
+    for i, pi in enumerate(a):
+        for j, pj in enumerate(b):
+            np.testing.assert_allclose(block[i, j], gamma_vector(pi, pj, stats), rtol=0, atol=1e-12)
+
+
+def random_profiles(rng, n, name="n"):
+    """Profiles drawing on small shared vocabularies, so that pairs share
+    some keywords, venues, WL labels and triangles; some keywords have no
+    vector or no FB count, some venues no FH count."""
+    words = [f"w{i}" for i in range(12)] + ["kw1", "kw2", "rare"]
+    out = []
+    for i in range(n):
+        pick = lambda k, most: rng.choice(k, rng.integers(0, most), replace=False)  # noqa: E731
+        venues = {f"V{j}": int(rng.integers(1, 4)) for j in pick(5, 4)}
+        keywords = {}
+        for w in pick(words, 7):
+            lo = int(rng.integers(1990, 2010))
+            keywords[str(w)] = (int(rng.integers(1, 5)), lo, lo + int(rng.integers(0, 6)))
+        wl = {f"1:{j}": float(rng.integers(1, 4)) for j in pick(8, 4)}
+        tri = {t for t in ("a|b", "b|c", "c|d") if rng.random() < 0.4}
+        n_papers = int(rng.integers(1, 9))
+        out.append(mk_profile(f"{name}#{i}", name, n_papers, venues, keywords, wl, tri))
+    return out
+
+
+class TestGammaBlock:
+    """The numpy kernel against the pair-by-pair reference."""
+
+    def test_random_square_and_rectangular(self, stats):
+        ps = random_profiles(np.random.default_rng(0), 30)
+        assert_block_matches(ps, ps, stats)
+        assert_block_matches(ps[:1], ps, stats)
+        assert_block_matches(ps[:7], ps[5:], stats)
+
+    def test_empty_sides(self, stats):
+        p = mk_profile()
+        assert gamma_block([], [p], stats).shape == (0, 1, 6)
+        assert gamma_block([p], [], stats).shape == (1, 0, 6)
+
+    def test_no_keywords(self, stats):
+        a = mk_profile(venues={"V1": 2}, n_papers=2)
+        b = mk_profile(venues={"V1": 1}, keywords={"kw1": (1, 2000, 2000)}, n_papers=1)
+        assert_block_matches([a, b], [a, b], stats)
+        assert gamma_block([a], [b], stats)[0, 0, 2:4].tolist() == [0.0, 0.0]
+
+    def test_keywords_without_vectors(self, stats):
+        a = mk_profile(keywords={"novec": (2, 2000, 2001), "other": (1, 1999, 1999)})
+        b = mk_profile(keywords={"novec": (1, 2003, 2004), "kw1": (1, 2000, 2000)})
+        assert_block_matches([a, b], [a, b], stats)
+        g = gamma_block([a], [b], stats)[0, 0]
+        assert g[2] == 0.0 and g[3] > 0.0
+
+    def test_modal_venue_none(self, stats):
+        a = mk_profile(venues={}, n_papers=2)
+        b = mk_profile(venues={"V1": 2}, n_papers=2)
+        c = dataclasses.replace(b, modal_venue="Vnowhere")
+        assert a.modal_venue is None
+        assert_block_matches([a, b, c], [a, b, c], stats)
+
+    def test_wl_norm_zero(self, stats):
+        a = dataclasses.replace(mk_profile(wl={"0:a": 1.0}), wl_norm=0.0)
+        b = mk_profile(wl={"0:a": 2.0})
+        assert_block_matches([a, b], [a, b], stats)
+        assert gamma_block([a], [b], stats)[0, 0, 0] == 0.0
+
+    def test_no_triangles(self, stats):
+        a = mk_profile(triangles=())
+        b = mk_profile(triangles={"a|b"})
+        assert_block_matches([a, b], [a, b], stats)
+        assert gamma_block([a], [b], stats)[0, 0, 1] == 0.0
+
+    def test_one_vertex(self, stats):
+        (p,) = random_profiles(np.random.default_rng(1), 1)
+        assert_block_matches([p], [p], stats)
+
+    def test_two_identical_vertices(self, stats):
+        p = mk_profile(
+            venues={"V1": 2, "V2": 1}, keywords={"kw1": (2, 2000, 2004), "kw2": (1, 2001, 2001)},
+            wl={"0:a": 1.0, "1:b": 2.0}, triangles={"a|b"}, n_papers=3,
+        )
+        q = dataclasses.replace(p, vertex_id="n#y")
+        assert_block_matches([p, q], [p, q], stats)
+        g = gamma_block([p, q], [p, q], stats)
+        np.testing.assert_array_equal(g[0, 1], g[1, 0])
+        assert g[0, 1, 0] == pytest.approx(1.0) and g[0, 1, 2] == pytest.approx(1.0)
+
+    def test_many_shared_keywords_one_pair(self, stats):
+        """A 1×1 block whose shared keywords outnumber its cells runs γ₄ in
+        several chunks; the sum is the same."""
+        kws = {f"w{i}": (1, 2000 + i, 2001 + i) for i in range(40)}
+        a = mk_profile(keywords=kws)
+        b = mk_profile(keywords={k: (2, lo + 3, hi + 3) for k, (_, lo, hi) in kws.items()})
+        assert_block_matches([a], [b], stats)
+
+
+def test_gamma_vector_is_only_the_reference():
+    """The pipeline runs ``gamma_block`` alone: no module under ``src/``
+    besides ``core/gammas.py`` refers to ``gamma_vector``."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    users = []
+    for path in src.rglob("*.py"):
+        if path.name == "gammas.py" and path.parent.name == "core":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            names = (
+                [a.name for a in node.names] if isinstance(node, (ast.Import, ast.ImportFrom))
+                else [getattr(node, "id", None), getattr(node, "attr", None)]
+            )
+            if "gamma_vector" in names:
+                users.append(str(path.relative_to(src)))
+    assert not users, users

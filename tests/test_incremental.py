@@ -2,10 +2,11 @@
 import numpy as np
 import pytest
 
-from repro.core.em import EMParams, FeatureParams
-from repro.core.gammas import GAMMA_NAMES, CorpusStats
+from repro.core import incremental
+from repro.core.em import EMParams, FeatureParams, score_array
+from repro.core.gammas import GAMMA_NAMES, CorpusStats, gamma_vector
 from repro.core.incremental import IncrementalJudge, _combine, profile_for_paper
-from tests.test_gammas import mk_profile
+from tests.test_gammas import mk_profile, random_profiles
 
 
 @pytest.fixture
@@ -103,6 +104,61 @@ class TestJudge:
         j = IncrementalJudge([far, near], stats, params, delta=-1e9)
         vid, _ = j.judge(graph_paper(), "n")
         assert vid == "n#v1"
+
+
+class TestJudgeKernel:
+    def test_matches_gamma_vector_scores(self, stats, params):
+        """The judge's 1×k kernel call picks the vertex and score that
+        scoring ``gamma_vector`` rows pick."""
+        rng = np.random.default_rng(3)
+        for trial in range(5):
+            cands = random_profiles(rng, 12)
+            paper = graph_paper(pid=200 + trial, venue=f"V{trial}")
+            q = profile_for_paper(paper, "n", stats)
+            ref = score_array(np.stack([gamma_vector(q, c, stats) for c in cands]), params)
+            vid, score = IncrementalJudge(cands, stats, params, delta=-1e9).judge(paper, "n")
+            assert vid == cands[int(np.argmax(ref))].vertex_id
+            assert score == pytest.approx(ref.max(), rel=0, abs=1e-9)
+
+
+class TestQueryProfileReuse:
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """Counts title tokenisations, one per query profile built."""
+        seen = []
+
+        def counting(title):
+            seen.append(title)
+            return title_tokens(title)
+
+        title_tokens = incremental.title_tokens
+        monkeypatch.setattr(incremental, "title_tokens", counting)
+        return seen
+
+    def test_judge_then_assimilate_tokenises_once(self, stats, params, calls):
+        j = IncrementalJudge([v1_profile(), v2_profile()], stats, params, delta=0.0)
+        paper = graph_paper()
+        vid, _ = j.judge(paper, "n")
+        assert j.assimilate(paper, "n", vid) == "n#v1"
+        assert len(calls) == 1
+        assert next(p for p in j.by_name["n"] if p.vertex_id == "n#v1").n_papers == 6
+
+    def test_assimilate_without_judge(self, stats, params, calls):
+        j = IncrementalJudge([v1_profile()], stats, params, delta=0.0)
+        assert j.assimilate(graph_paper(), "n", "n#v1") == "n#v1"
+        assert len(calls) == 1
+        assert j.by_name["n"][0].venues == {"V1": 5, "V3": 1}
+
+    def test_assimilate_after_judging_another_occurrence(self, stats, params, calls):
+        j = IncrementalJudge([v1_profile(), v2_profile()], stats, params, delta=0.0)
+        judged, other = graph_paper(pid=1, venue="V1"), graph_paper(pid=2, venue="V2")
+        j.judge(judged, "n")
+        assert j.assimilate(other, "n", None) == "n@new2"
+        assert j.by_name["n"][-1].venues == {"V2": 1}
+        # The same paper under another name is another occurrence too.
+        j.judge(judged, "n")
+        assert j.assimilate(judged, "x", None) == "x@new1"
+        assert len(calls) == 4
 
 
 class TestAssimilate:

@@ -9,6 +9,7 @@ The benchmark's files are read, never changed.
 import ast
 import importlib
 import importlib.util
+import inspect
 import sys
 from pathlib import Path
 
@@ -36,6 +37,26 @@ def _resolves(module: str, name: str) -> bool:
         return importlib.util.find_spec(f"{module}.{name}") is not None
     except ModuleNotFoundError:  # ``module`` is no package
         return False
+
+
+@pytest.mark.parametrize(
+    "module, qualname, args",
+    [
+        ("repro.core.similarity", "pair_similarities", ("profiles", "stats")),
+        ("repro.core.gammas", "gamma_vector", ("p", "q", "stats")),
+        ("repro.core.profiles", "row_to_profile", ("row",)),
+        ("repro.core.incremental", "IncrementalJudge.from_model", ("model",)),
+        ("repro.core.incremental", "IncrementalJudge.judge", ("self", "paper", "name")),
+        ("repro.core.incremental", "IncrementalJudge.assimilate", ("self", "paper", "name", "vid")),
+    ],
+)
+def test_call_shapes(module, qualname, args):
+    """The benchmark calls these positionally with these arguments and no
+    others; the signature must still accept the call."""
+    fn = importlib.import_module(module)
+    for part in qualname.split("."):
+        fn = getattr(fn, part)
+    inspect.signature(fn).bind(*args)
 
 
 @pytest.fixture(scope="module")

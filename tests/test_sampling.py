@@ -2,9 +2,14 @@
 import numpy as np
 import pytest
 
-from repro.core.gammas import CorpusStats
-from repro.core.sampling import split_profile, synthetic_matched_gammas
-from tests.test_gammas import mk_profile
+from repro.core.gammas import CorpusStats, gamma_vector
+from repro.core.sampling import (
+    MIN_PAPERS,
+    SPLIT_BLOCK,
+    split_profile,
+    synthetic_matched_gammas,
+)
+from tests.test_gammas import mk_profile, random_profiles
 
 
 @pytest.fixture
@@ -84,3 +89,17 @@ class TestSyntheticMatchedGammas:
         a = synthetic_matched_gammas([big_profile()], stats, n=8, seed=5)
         b = synthetic_matched_gammas([big_profile()], stats, n=8, seed=5)
         np.testing.assert_array_equal(a, b)
+
+    def test_matches_gamma_vector_of_the_same_splits(self, stats):
+        """The kernel's γ of each split pair equals ``gamma_vector`` of the
+        halves the same seeded draws produce, over several kernel calls."""
+        profs = [big_profile(), *random_profiles(np.random.default_rng(2), 20)]
+        n = 2 * SPLIT_BLOCK + 6
+        X = synthetic_matched_gammas(profs, stats, n=n, seed=4)
+        rng = np.random.default_rng(4)
+        pool = [p for p in profs if p.n_papers >= MIN_PAPERS]
+        ref = []
+        for _ in range(n):
+            a, b = split_profile(pool[int(rng.integers(len(pool)))], rng)
+            ref.append(gamma_vector(a, b, stats))
+        np.testing.assert_allclose(X, np.stack(ref), rtol=0, atol=1e-12)

@@ -1,5 +1,8 @@
 """Batch pair similarities (per-partition dataflow) vs the pure pair math."""
+import itertools
+
 import numpy as np
+import pandas as pd
 import pytest
 from pyspark.sql import functions as F
 
@@ -13,6 +16,34 @@ def pairs_df(profile_set):
     df = pair_similarities(profile_set.profiles, profile_set.stats).cache()
     df.count()
     return df
+
+
+def reference_pairs(rows, stats) -> pd.DataFrame:
+    """Per name, ascending: the vertices sorted by (n_papers desc,
+    vertex_id), every pair in combination order, γ by ``gamma_vector``."""
+    by_name: dict[str, list] = {}
+    for p in sorted(map(row_to_profile, rows), key=lambda p: (p.name, -p.n_papers, p.vertex_id)):
+        by_name.setdefault(p.name, []).append(p)
+    out = []
+    for name in sorted(by_name):
+        for pi, pj in itertools.combinations(by_name[name], 2):
+            vi, vj = sorted((pi.vertex_id, pj.vertex_id))
+            out.append((name, vi, vj, *gamma_vector(pi, pj, stats)))
+    return pd.DataFrame(out, columns=["name", "vid_i", "vid_j", *GAMMA_NAMES])
+
+
+def assert_same_pairs_per_name(got: pd.DataFrame, ref: pd.DataFrame) -> None:
+    """Each name's pairs form one contiguous run of ``got``, in the
+    reference's order, with γ within 1e-12."""
+    assert len(got) == len(ref)
+    for name, want in ref.groupby("name", sort=False):
+        at = np.flatnonzero(got.name.to_numpy() == name)
+        assert (np.diff(at) == 1).all(), name
+        run = got.iloc[at]
+        assert run.vid_i.tolist() == want.vid_i.tolist(), name
+        assert run.vid_j.tolist() == want.vid_j.tolist(), name
+        g = list(GAMMA_NAMES)
+        np.testing.assert_allclose(run[g].to_numpy(), want[g].to_numpy(), rtol=0, atol=1e-12)
 
 
 @pytest.mark.spark
@@ -40,18 +71,73 @@ class TestPairSimilarities:
         pdf = pairs_df.select(*GAMMA_NAMES).toPandas()
         assert np.isfinite(pdf.to_numpy()).all()
 
-    def test_matches_local_gamma_vector(self, spark, profile_set, pairs_df):
-        """Per-partition batch output equals the pure pair function — the
-        consistency guarantee the incremental path relies on."""
-        sample = pairs_df.orderBy("name", "vid_i", "vid_j").limit(60).toPandas()
-        wanted = set(sample.vid_i) | set(sample.vid_j)
-        profs = {
-            r.vertex_id: row_to_profile(r)
-            for r in profile_set.profiles.where(
-                F.col("vertex_id").isin(list(wanted))
-            ).collect()
+    def test_matches_local_gamma_vector(self, spark, model):
+        """Every pair of the session model equals the pure pair function —
+        the consistency guarantee the incremental path relies on."""
+        pairs = model.pairs.select("vid_i", "vid_j", *GAMMA_NAMES).toPandas()
+        stats = model.profiles.stats
+        profs = {r.vertex_id: row_to_profile(r) for r in model.profiles.profiles.collect()}
+        assert len(pairs) > 1000
+        ref = np.stack(
+            [gamma_vector(profs[i], profs[j], stats) for i, j in zip(pairs.vid_i, pairs.vid_j)]
+        )
+        np.testing.assert_allclose(pairs[list(GAMMA_NAMES)].to_numpy(), ref, rtol=0, atol=1e-12)
+
+    def test_pair_order(self, spark, profile_set, pairs_df):
+        """Within each name the pairs are one contiguous run in the
+        combination order of the vertices sorted by (n_papers desc,
+        vertex_id): the order run_iuad's seeded sample reads."""
+        got = pairs_df.toPandas()
+        ref = reference_pairs(profile_set.profiles.collect(), profile_set.stats)
+        assert_same_pairs_per_name(got, ref)
+
+    @pytest.mark.parametrize("n", [1, 64])
+    def test_partition_count(self, spark, profile_set, shuffle_partitions, n):
+        """All names in one partition, or more partitions than names (most
+        of them empty): each name's pairs are the per-name reference. Half
+        of the names get an apostrophe and a non-ASCII letter, in the name
+        and in its vertex ids."""
+        prof = profile_set.profiles
+        sizes = prof.groupBy("name").count().toPandas().sort_values(["count", "name"])
+        names = [*sizes.name.iloc[-3:], *sizes[sizes["count"] == 2].name.iloc[:3],
+                 *sizes[sizes["count"] == 1].name.iloc[:1]]
+        odd = F.col("name").isin(names[::2])
+        mark = lambda c: F.when(odd, F.concat(F.lit("Ö'"), c)).otherwise(F.col(c))  # noqa: E731
+        sub = prof.where(F.col("name").isin(names)).withColumns(
+            {"name": mark("name"), "vertex_id": mark("vertex_id")}
+        )
+        ref = reference_pairs(sub.collect(), profile_set.stats)
+        assert ref.name.nunique() == 6 and ref.name.str.startswith("Ö'").sum() > 0
+        shuffle_partitions(n)
+        got = pair_similarities(sub, profile_set.stats).toPandas()
+        assert_same_pairs_per_name(got, ref)
+        if n == 1:
+            assert got.name.tolist() == ref.name.tolist()
+
+    def test_partition_layout_of_a_grouped_shuffle(self, spark, profile_set):
+        """AQE coalesces the shuffle by its bytes: with small target sizes
+        each partition holds the names a ``groupBy("name")`` shuffle of the
+        profiles puts there, the layout the seeded sample has always read."""
+        conf = {
+            "spark.sql.shuffle.partitions": "200",
+            "spark.sql.adaptive.coalescePartitions.parallelismFirst": "false",
+            "spark.sql.adaptive.advisoryPartitionSizeInBytes": "64k",
+            "spark.sql.adaptive.coalescePartitions.minPartitionSize": "16k",
         }
-        for rec in sample.itertuples(index=False):
-            g = gamma_vector(profs[rec.vid_i], profs[rec.vid_j], profile_set.stats)
-            got = np.array([getattr(rec, c) for c in GAMMA_NAMES])
-            np.testing.assert_allclose(got, g, rtol=1e-9, atol=1e-12)
+        before = {k: spark.conf.get(k) for k in conf}
+        # A plan of its own, so that no result is read from a cached frame.
+        prof = profile_set.profiles.where(F.col("n_papers") > 0)
+        names = lambda df: df.rdd.glom().map(lambda rows: sorted({r.name for r in rows})).collect()  # noqa: E731
+        try:
+            for k, v in conf.items():
+                spark.conf.set(k, v)
+            got = names(pair_similarities(prof, profile_set.stats))
+            grouped = prof.groupBy("name").applyInPandas(
+                lambda pdf: pdf[["name"]].head(1 if len(pdf) > 1 else 0), schema="name string"
+            )
+            want = names(grouped)
+        finally:
+            for k, v in before.items():
+                spark.conf.set(k, v)
+        assert len(want) > 4
+        assert got == want
