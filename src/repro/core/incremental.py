@@ -24,8 +24,16 @@ from repro.text.keywords import title_tokens
 
 def profile_for_paper(paper: Mapping, name: str, stats: CorpusStats) -> Profile:
     """The isolated-vertex profile of a single new paper occurrence."""
-    if name not in paper["names"]:
-        raise ValueError(f"{name!r} is not an author of paper {paper['paper_id']!r}")
+    names, pid = paper["names"], paper["paper_id"]
+    if names is None or len(names) == 0:
+        raise ValueError(f"paper {pid!r} has an empty co-author list")
+    if len(set(names)) < len(names):
+        raise ValueError(f"paper {pid!r} has a name twice in its co-author list")
+    for field in ("year", "venue"):
+        if paper[field] is None:
+            raise ValueError(f"paper {pid!r} has no {field}")
+    if name not in names:
+        raise ValueError(f"{name!r} is not an author of paper {pid!r}")
     year = int(paper["year"])
     # The batch keyword rule: title tokens, minus the frequent words FB omits.
     kws = sorted({t for t in title_tokens(paper["title"]) if t in stats.fb})

@@ -8,10 +8,9 @@ from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 
 from repro.core.em import EMParams, fit_em
-from repro.core.gammas import GAMMA_NAMES
 from repro.core.gcn import GCN, build_gcn, score_pairs
 from repro.core.profiles import ProfileSet, build_profiles, row_to_profile
-from repro.core.sampling import MIN_PAPERS, synthetic_matched_gammas
+from repro.core.sampling import MIN_PAPERS, sample_pairs, synthetic_matched_gammas
 from repro.core.scn import SCN, build_scn
 from repro.core.similarity import pair_similarities
 
@@ -47,11 +46,14 @@ def run_iuad(
 ) -> IUADModel:
     """Run both stages of IUAD and return the fitted model + GCN.
 
-    ``sample_frac`` is the paper's 10 % training sample of candidate pairs,
-    topped up with split-vertex matched pairs against class imbalance
-    (V-F.2); ``delta`` is the decision threshold on the log posterior-odds
-    score.
+    ``sample_frac`` is the paper's 10 % training sample of candidate pairs
+    (every pair if that would be under 200), drawn by pair hash and topped
+    up with split-vertex matched pairs against class imbalance (V-F.2);
+    ``delta`` is the decision threshold on the log posterior-odds score.
+    A paper with an empty or repeating co-author list, or without a year or
+    venue, fails the run when it is first read.
     """
+    papers = _checked(papers)
     scn = build_scn(papers, eta=eta)
     ps = build_profiles(papers, scn)
     profiles = ps.profiles
@@ -60,8 +62,7 @@ def run_iuad(
     # ---- training sample (10 % of candidate pairs) ----------------------
     n_pairs = pairs.count()
     frac = 1.0 if n_pairs * sample_frac < 200 else sample_frac
-    sample = pairs.sample(fraction=min(frac, 1.0), seed=seed).select(*GAMMA_NAMES).toPandas()
-    X = sample.to_numpy(dtype=float)
+    X = sample_pairs(pairs, frac, seed)
 
     if len(X):
         prolific = (
@@ -83,6 +84,21 @@ def run_iuad(
     return IUADModel(
         scn=scn, profiles=ps, pairs=pairs_scored, params=params, gcn=gcn, delta=delta
     )
+
+
+def _checked(papers: DataFrame) -> DataFrame:
+    """``papers`` whose ``names`` column raises on a bad row; the check
+    rides in the projection of whichever job reads the names."""
+    names = F.col("names")
+    problem = (
+        F.when(names.isNull() | (F.size(names) == 0), "an empty co-author list")
+        .when(F.size(F.array_distinct(names)) < F.size(names), "a name twice in its co-author list")
+        .when(F.col("year").isNull(), "no year")
+        .when(F.col("venue").isNull(), "no venue")
+    )
+    error = F.raise_error(F.concat(F.lit("paper "), F.col("paper_id").cast("string"),
+                                   F.lit(" has "), problem))
+    return papers.withColumn("names", F.when(problem.isNull(), names).otherwise(error))
 
 
 def scn_only_assignments(model: IUADModel) -> DataFrame:

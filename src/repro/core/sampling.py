@@ -3,7 +3,7 @@
 Two mechanisms from Section V-F:
 
 * **10 % pair sampling** — the model is trained on a random sample of the
-  candidate pairs, not all of them (speed).
+  candidate pairs, not all of them (speed), drawn by a hash of each pair.
 * **Imbalance mitigation** — matched pairs are rare among candidates, so the
   paper "partitions a vertex with many published papers into two vertices at
   random"; the two halves form a guaranteed-matched pair. We implement the
@@ -15,6 +15,8 @@ Two mechanisms from Section V-F:
 from __future__ import annotations
 
 import numpy as np
+from pyspark.sql import DataFrame
+from pyspark.sql import functions as F
 
 from repro.core.gammas import GAMMA_NAMES, CorpusStats, Profile, gamma_block, modal_venue
 
@@ -22,6 +24,15 @@ from repro.core.gammas import GAMMA_NAMES, CorpusStats, Profile, gamma_block, mo
 MIN_PAPERS = 6
 #: Split pairs per ``gamma_block`` call.
 SPLIT_BLOCK = 32
+
+
+def sample_pairs(pairs: DataFrame, frac: float, seed: int) -> np.ndarray:
+    """γ rows of the pairs whose draw, the low 53 bits of
+    xxhash64(vid_i, vid_j, seed) over 2^53, is below ``frac``; sorted by
+    (vid_i, vid_j), as EM's initial responsibilities add per-row noise."""
+    draw = F.xxhash64("vid_i", "vid_j", F.lit(seed)).bitwiseAND(2**53 - 1) / 2.0**53
+    drawn = pairs.where(draw < frac).select("vid_i", "vid_j", *GAMMA_NAMES).toPandas()
+    return drawn.sort_values(["vid_i", "vid_j"])[list(GAMMA_NAMES)].to_numpy(dtype=float)
 
 
 def split_profile(p: Profile, rng: np.random.Generator) -> tuple[Profile, Profile]:

@@ -2,10 +2,11 @@
 
 Names partition the candidate space (only same-name vertices are ever
 compared), so the profiles are shuffled by name and each partition runs one
-Python call (``mapInPandas``) over its names, in ascending order: per name,
-one ``gamma_block`` of the name's vertices against themselves gives every
-pair. Corpus statistics ride along in the task closure (a few MB of
-keyword/venue frequencies and word vectors).
+Python call (``mapInPandas``) over its rows sorted by (name, vertex_id):
+per name, one ``gamma_block`` of the name's vertices against themselves
+gives every pair. No reader depends on the partition layout. Corpus
+statistics ride along in the task closure (a few MB of keyword/venue
+frequencies and word vectors).
 """
 from __future__ import annotations
 
@@ -14,7 +15,6 @@ from operator import attrgetter
 
 import numpy as np
 from pyspark.sql import DataFrame
-from pyspark.sql import functions as F
 
 from repro.core.gammas import GAMMA_NAMES, CorpusStats, gamma_block
 from repro.core.profiles import row_to_profile
@@ -37,23 +37,13 @@ def pair_similarities(profiles: DataFrame, stats: CorpusStats) -> DataFrame:
                 continue
             i, j = np.triu_indices(len(profs), 1)
             vids = np.array([p.vertex_id for p in profs], dtype=object)
-            a, b = vids[i], vids[j]
-            first = a < b
             gammas = gamma_block(profs, profs, stats)[i, j]
             names = np.full(len(i), name, object)
-            yield names, np.where(first, a, b), np.where(first, b, a), *gammas.T
+            yield names, vids[i], vids[j], *gammas.T
 
-    # run_iuad's seeded 10 % sample draws per partition, by row position,
-    # so the partition layout and the row order are kept fixed: names
-    # ascending within a partition, and each name's pairs in the
-    # combination order of its vertices sorted by (n_papers desc,
-    # vertex_id). AQE coalesces the shuffle's partitions by their bytes, so
-    # the shuffled rows carry the name twice, as those of
-    # groupBy("name").applyInPandas did; the copy ``key`` is not read.
     columns = ["name", "vid_i", "vid_j", *GAMMA_NAMES]
     return (
-        profiles.select(F.col("name").alias("key"), "*")
-        .repartition("key")
-        .sortWithinPartitions("name", F.desc("n_papers"), "vertex_id")
+        profiles.repartition("name")
+        .sortWithinPartitions("name", "vertex_id")
         .mapInPandas(lambda batches: in_chunks(_pairs(batches), columns), schema=PAIR_SCHEMA)
     )

@@ -141,10 +141,11 @@ def table4(
         model = run_iuad(spark, corpus.to_spark(spark), eta=eta, delta=delta, seed=seed)
     scn_m, gcn_m = _iuad_confusions(spark, model, corpus, names)
     s, g = scn_m.as_row(), gcn_m.as_row()
+    # Improv is the difference of the printed (rounded) columns.
     return pd.DataFrame(
         [
             {"metric": k, "SCN": round(s[k], 4), "GCN": round(g[k], 4),
-             "Improv": round(g[k] - s[k], 4)}
+             "Improv": round(round(g[k], 4) - round(s[k], 4), 4)}
             for k in ("MicroA", "MicroP", "MicroR", "MicroF")
         ]
     )

@@ -6,7 +6,8 @@ import pytest
 from repro.core.em import EMParams, FeatureParams, fit_em, score_array
 from repro.core.gcn import build_gcn, score_pairs
 from repro.core.gammas import GAMMA_NAMES
-from repro.oracle import assert_equivalent
+
+from .oracle import assert_equivalent
 
 
 def pairs_pdf(rows):

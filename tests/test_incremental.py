@@ -77,6 +77,28 @@ class TestPaperProfile:
         assert p.wl == {} and p.triangles == frozenset()
 
 
+#: One case per malformed paper: the fields that break a valid paper and
+#: the error's message. The judge and the batch run
+#: (``test_pipeline_integration``) reject each.
+bad_papers = pytest.mark.parametrize(
+    "change, message",
+    [
+        ({"names": []}, "empty co-author list"),
+        ({"names": ["n", "x", "n"]}, "name twice"),
+        ({"year": None}, "no year"),
+        ({"venue": None}, "no venue"),
+    ],
+    ids=["empty_names", "repeated_name", "no_year", "no_venue"],
+)
+
+
+class TestBadPaper:
+    @bad_papers
+    def test_raises(self, stats, change, message):
+        with pytest.raises(ValueError, match=message):
+            profile_for_paper({**graph_paper(), **change}, "n", stats)
+
+
 class TestJudge:
     def test_assigns_to_similar_vertex(self, stats, params):
         j = IncrementalJudge([v1_profile(), v2_profile()], stats, params, delta=0.0)

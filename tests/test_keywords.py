@@ -6,8 +6,9 @@ from pyspark.sql import functions as F
 from repro.core.gammas import CorpusStats
 from repro.core.incremental import profile_for_paper
 from repro.dblp.generator import PAPER_SCHEMA
-from repro.oracle import assert_equivalent
 from repro.text.keywords import STOPWORDS, keywords, title_keywords, title_tokens
+
+from .oracle import assert_equivalent
 
 #: Titles the generator never writes: Java's \s (Spark's split) and
 #: Python's str.split() disagree on NBSP and em space.

@@ -10,7 +10,8 @@ from repro.eval.metrics import (
     confusion_pandas,
     labelled_pairs,
 )
-from repro.oracle import assert_equivalent
+
+from .oracle import assert_equivalent
 
 
 class TestConfusionMath:

@@ -7,11 +7,14 @@ precision, Stage II must deliver the recall jump at a small precision cost
 import numpy as np
 import pytest
 from pyspark.sql import functions as F
+from pyspark.sql import types as T
 
 from repro.core.em import score_array
 from repro.core.gammas import GAMMA_NAMES
-from repro.core.pipeline import gcn_assignments, scn_only_assignments
+from repro.core.pipeline import gcn_assignments, run_iuad, scn_only_assignments
+from repro.dblp.generator import PAPER_SCHEMA
 from repro.eval.metrics import confusion
+from tests.test_incremental import bad_papers
 
 
 @pytest.fixture(scope="module")
@@ -89,3 +92,20 @@ class TestModelInvariants:
 
     def test_recovered_edges_symmetric_canonical(self, model):
         assert model.gcn.edges.where(F.col("u") >= F.col("v")).count() == 0
+
+
+@pytest.mark.spark
+class TestBadPaper:
+    """One malformed paper fails the run when its co-author list is first
+    read."""
+
+    @bad_papers
+    def test_raises(self, spark, tiny_papers_pdf, change, message):
+        pdf = tiny_papers_pdf.astype(object)
+        bad = len(pdf) // 2
+        for col, value in change.items():
+            pdf.at[bad, col] = value
+        nullable = T.StructType([T.StructField(f.name, f.dataType) for f in PAPER_SCHEMA])
+        papers = spark.createDataFrame(pdf, schema=nullable)
+        with pytest.raises(Exception, match=message):
+            run_iuad(spark, papers, eta=2, delta=0.0, seed=0)

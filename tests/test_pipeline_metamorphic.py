@@ -1,5 +1,5 @@
-"""The GCN is a function of the input papers and the config alone, and a
-run stays within its Spark job budget.
+"""The fitted model and the GCN are functions of the input papers and the
+config alone, and a run stays within its Spark job budget.
 
 Each test runs the full pipeline on the session corpus once more, so these
 are the slowest tests in the suite.
@@ -34,26 +34,31 @@ def run(spark, papers):
 @pytest.mark.spark
 @pytest.mark.slow
 class TestMetamorphic:
+    """Each run must fit the session model's parameters exactly (prior,
+    every feature's marginals and the log-likelihood trace) and give its
+    GCN partition."""
+
     @pytest.fixture(scope="class")
     def reference(self, model):
         return partition(model)
 
-    @pytest.mark.parametrize("n", [4, 32])
-    def test_shuffle_partitions(self, spark, papers_df, reference, n):
-        key = "spark.sql.shuffle.partitions"
-        before = spark.conf.get(key)
-        spark.conf.set(key, str(n))
-        try:
-            got = partition(run(spark, papers_df))
-        finally:
-            spark.conf.set(key, before)
-        assert got == reference
+    @pytest.mark.parametrize("n", [1, 4, 32, 64])
+    def test_shuffle_partitions(self, spark, papers_df, model, reference, shuffle_partitions, n):
+        """With AQE coalescing off, every shuffle has exactly n partitions:
+        one holding every name, or more partitions than some stages have
+        keys."""
+        shuffle_partitions(n)
+        got = run(spark, papers_df)
+        assert got.params == model.params
+        assert partition(got) == reference
 
-    def test_input_rows_permuted(self, spark, corpus, reference):
+    def test_input_rows_permuted(self, spark, corpus, model, reference):
         shuffled = corpus.papers.sample(frac=1.0, random_state=1).reset_index(drop=True)
         assert not shuffled.paper_id.equals(corpus.papers.paper_id)
         papers = spark.createDataFrame(shuffled, schema=PAPER_SCHEMA)
-        assert partition(run(spark, papers)) == reference
+        got = run(spark, papers)
+        assert got.params == model.params
+        assert partition(got) == reference
 
 
 @pytest.mark.spark

@@ -7,7 +7,8 @@ from repro.core.gammas import modal_venue
 from repro.core.profiles import build_profiles, row_to_profile
 from repro.core.scn import build_scn
 from repro.dblp.generator import PAPER_SCHEMA
-from repro.oracle import assert_equivalent
+
+from .oracle import assert_equivalent
 
 
 @pytest.mark.spark

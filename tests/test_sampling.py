@@ -1,11 +1,14 @@
-"""Vertex splitting for EM training balance (§ V-F.2)."""
+"""The EM training sample (§ V-F): the hashed 10 % pair sample and vertex
+splitting for class balance."""
 import numpy as np
+import pandas as pd
 import pytest
 
-from repro.core.gammas import CorpusStats, gamma_vector
+from repro.core.gammas import GAMMA_NAMES, CorpusStats, gamma_vector
 from repro.core.sampling import (
     MIN_PAPERS,
     SPLIT_BLOCK,
+    sample_pairs,
     split_profile,
     synthetic_matched_gammas,
 )
@@ -103,3 +106,43 @@ class TestSyntheticMatchedGammas:
             a, b = split_profile(pool[int(rng.integers(len(pool)))], rng)
             ref.append(gamma_vector(a, b, stats))
         np.testing.assert_allclose(X, np.stack(ref), rtol=0, atol=1e-12)
+
+
+@pytest.mark.spark
+class TestSamplePairs:
+    """The sample is a function of the pair rows and the seed."""
+
+    N = 20_000
+
+    @pytest.fixture(scope="class")
+    def pairs_pdf(self):
+        rng = np.random.default_rng(3)
+        pdf = pd.DataFrame(rng.random((self.N, len(GAMMA_NAMES))), columns=list(GAMMA_NAMES))
+        pdf.insert(0, "vid_i", [f"n#{k}" for k in range(self.N)])
+        pdf.insert(1, "vid_j", [f"n@{k % 97}" for k in range(self.N)])
+        return pdf
+
+    def test_same_rows_whatever_the_layout(self, spark, pairs_pdf):
+        df = spark.createDataFrame(pairs_pdf)
+        permuted = spark.createDataFrame(pairs_pdf.sample(frac=1.0, random_state=1))
+        want = sample_pairs(df.coalesce(1), 0.1, 5)
+        for other in (df.repartition(7, "vid_j"), permuted):
+            np.testing.assert_array_equal(sample_pairs(other, 0.1, 5), want)
+
+    @pytest.mark.parametrize("frac", [0.1, 0.5])
+    def test_share_within_binomial_bounds(self, spark, pairs_pdf, frac):
+        X = sample_pairs(spark.createDataFrame(pairs_pdf), frac, 0)
+        assert abs(len(X) - frac * self.N) < 4 * np.sqrt(self.N * frac * (1 - frac))
+
+    def test_rows_ordered_by_pair_ids(self, spark, pairs_pdf):
+        X = sample_pairs(spark.createDataFrame(pairs_pdf), 0.1, 5)
+        want = pairs_pdf.sort_values(["vid_i", "vid_j"])[list(GAMMA_NAMES)].to_numpy()
+        rows = {tuple(r) for r in X}
+        np.testing.assert_array_equal(X, [r for r in want if tuple(r) in rows])
+
+    def test_seed_draws_another_sample(self, spark, pairs_pdf):
+        df = spark.createDataFrame(pairs_pdf)
+        assert not np.array_equal(sample_pairs(df, 0.1, 5), sample_pairs(df, 0.1, 6))
+
+    def test_whole_fraction_keeps_every_pair(self, spark, pairs_pdf):
+        assert len(sample_pairs(spark.createDataFrame(pairs_pdf), 1.0, 0)) == self.N

@@ -13,7 +13,8 @@ from pyspark.sql import functions as F
 
 from repro.core.scn import SSEP, VSEP, build_scn, mine_scrs, partner_components
 from repro.graph.components import UnionFind
-from repro.oracle import assert_equivalent
+
+from .oracle import assert_equivalent
 
 
 def mine_scrs_fpgrowth(papers, *, eta: int):

@@ -19,16 +19,16 @@ def pairs_df(profile_set):
 
 
 def reference_pairs(rows, stats) -> pd.DataFrame:
-    """Per name, ascending: the vertices sorted by (n_papers desc,
-    vertex_id), every pair in combination order, γ by ``gamma_vector``."""
+    """Per name, ascending: every pair of the name's vertices in the
+    combination order of their sorted ids, γ by ``gamma_vector``."""
     by_name: dict[str, list] = {}
-    for p in sorted(map(row_to_profile, rows), key=lambda p: (p.name, -p.n_papers, p.vertex_id)):
+    for p in sorted(map(row_to_profile, rows), key=lambda p: (p.name, p.vertex_id)):
         by_name.setdefault(p.name, []).append(p)
-    out = []
-    for name in sorted(by_name):
-        for pi, pj in itertools.combinations(by_name[name], 2):
-            vi, vj = sorted((pi.vertex_id, pj.vertex_id))
-            out.append((name, vi, vj, *gamma_vector(pi, pj, stats)))
+    out = [
+        (name, pi.vertex_id, pj.vertex_id, *gamma_vector(pi, pj, stats))
+        for name in sorted(by_name)
+        for pi, pj in itertools.combinations(by_name[name], 2)
+    ]
     return pd.DataFrame(out, columns=["name", "vid_i", "vid_j", *GAMMA_NAMES])
 
 
@@ -85,8 +85,7 @@ class TestPairSimilarities:
 
     def test_pair_order(self, spark, profile_set, pairs_df):
         """Within each name the pairs are one contiguous run in the
-        combination order of the vertices sorted by (n_papers desc,
-        vertex_id): the order run_iuad's seeded sample reads."""
+        combination order of the name's sorted vertex ids."""
         got = pairs_df.toPandas()
         ref = reference_pairs(profile_set.profiles.collect(), profile_set.stats)
         assert_same_pairs_per_name(got, ref)
@@ -113,31 +112,3 @@ class TestPairSimilarities:
         assert_same_pairs_per_name(got, ref)
         if n == 1:
             assert got.name.tolist() == ref.name.tolist()
-
-    def test_partition_layout_of_a_grouped_shuffle(self, spark, profile_set):
-        """AQE coalesces the shuffle by its bytes: with small target sizes
-        each partition holds the names a ``groupBy("name")`` shuffle of the
-        profiles puts there, the layout the seeded sample has always read."""
-        conf = {
-            "spark.sql.shuffle.partitions": "200",
-            "spark.sql.adaptive.coalescePartitions.parallelismFirst": "false",
-            "spark.sql.adaptive.advisoryPartitionSizeInBytes": "64k",
-            "spark.sql.adaptive.coalescePartitions.minPartitionSize": "16k",
-        }
-        before = {k: spark.conf.get(k) for k in conf}
-        # A plan of its own, so that no result is read from a cached frame.
-        prof = profile_set.profiles.where(F.col("n_papers") > 0)
-        names = lambda df: df.rdd.glom().map(lambda rows: sorted({r.name for r in rows})).collect()  # noqa: E731
-        try:
-            for k, v in conf.items():
-                spark.conf.set(k, v)
-            got = names(pair_similarities(prof, profile_set.stats))
-            grouped = prof.groupBy("name").applyInPandas(
-                lambda pdf: pdf[["name"]].head(1 if len(pdf) > 1 else 0), schema="name string"
-            )
-            want = names(grouped)
-        finally:
-            for k, v in before.items():
-                spark.conf.set(k, v)
-        assert len(want) > 4
-        assert got == want
