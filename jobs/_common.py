@@ -28,11 +28,3 @@ def base_parser(desc: str) -> argparse.ArgumentParser:
     p.add_argument("--delta", type=float, default=DELTA, help="decision threshold δ")
     p.add_argument("--names", type=int, default=50, help="testing-set size")
     return p
-
-
-def print_side_by_side(title: str, ours, paper) -> None:
-    print(f"\n== {title} ==")
-    print("--- measured ---")
-    print(ours.to_string(index=False))
-    print("--- paper ---")
-    print(paper)

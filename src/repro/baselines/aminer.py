@@ -11,30 +11,21 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 
+from repro.baselines import cluster_each_name
 from repro.baselines.embed import PaperEmbedder, cosine_distance_matrix
 from repro.eval.clustering import hac_average
 
+WEIGHTS = (1.0, 1.0, 1.0)
+THRESHOLD = 0.70
+
 
 def run_aminer(
-    papers: pd.DataFrame,
-    names: list[str],
-    *,
-    embedder: PaperEmbedder | None = None,
-    weights: tuple[float, float, float] = (1.0, 1.0, 1.0),
-    threshold: float = 0.70,
+    papers: pd.DataFrame, names: list[str], *, embedder: PaperEmbedder
 ) -> pd.DataFrame:
     """Cluster each name's papers; returns (name, paper_id, cluster)."""
-    emb = embedder if embedder is not None else PaperEmbedder(papers)
-    pid_by_name: dict[str, list[int]] = {n: [] for n in names}
-    for pid, nms in zip(papers.paper_id, papers.names):
-        for n in nms:
-            if n in pid_by_name:
-                pid_by_name[n].append(pid)
-    rows = []
-    for name, pids in pid_by_name.items():
-        if not pids:
-            continue
-        X = np.stack([emb.embed(p, name, weights) for p in pids])
-        labels = hac_average(cosine_distance_matrix(X), threshold=threshold)
-        rows += [(name, p, f"{name}:{l}") for p, l in zip(pids, labels)]
-    return pd.DataFrame(rows, columns=["name", "paper_id", "cluster"])
+
+    def cluster(name: str, pids: list[int]) -> np.ndarray:
+        X = np.stack([embedder.embed(p, name, WEIGHTS) for p in pids])
+        return hac_average(cosine_distance_matrix(X), threshold=THRESHOLD)
+
+    return cluster_each_name(papers, names, cluster)

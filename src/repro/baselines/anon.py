@@ -7,41 +7,29 @@ author. See DESIGN.md for the embedding substitution.
 """
 from __future__ import annotations
 
+import numpy as np
 import pandas as pd
 
+from repro.baselines import cluster_each_name
 from repro.baselines.embed import PaperEmbedder, cosine_distance_matrix
 from repro.eval.clustering import hac_average
 
+THRESHOLD = 0.6
+TWO_HOP = 0.5
+
 
 def run_anon(
-    papers: pd.DataFrame,
-    names: list[str],
-    *,
-    embedder: PaperEmbedder | None = None,
-    threshold: float = 0.6,
-    two_hop: float = 0.5,
+    papers: pd.DataFrame, names: list[str], *, embedder: PaperEmbedder
 ) -> pd.DataFrame:
     """Cluster each name's papers; returns (name, paper_id, cluster).
 
-    The co-author view includes a 2-hop neighbourhood term (``two_hop``):
+    The co-author view includes a 2-hop neighbourhood term (``TWO_HOP``):
     ANON's network embedding sees structure beyond direct co-authors, and
     a pure 1-hop bag cannot relate an author's disjoint teams at all.
     """
-    import numpy as np
 
-    emb = embedder if embedder is not None else PaperEmbedder(papers)
-    pid_by_name: dict[str, list[int]] = {n: [] for n in names}
-    for pid, nms in zip(papers.paper_id, papers.names):
-        for n in nms:
-            if n in pid_by_name:
-                pid_by_name[n].append(pid)
-    rows = []
-    for name, pids in pid_by_name.items():
-        if not pids:
-            continue
-        X = np.stack(
-            [emb.coauthor_vec(p, name, two_hop=two_hop) for p in pids]
-        )
-        labels = hac_average(cosine_distance_matrix(X), threshold=threshold)
-        rows += [(name, p, f"{name}:{l}") for p, l in zip(pids, labels)]
-    return pd.DataFrame(rows, columns=["name", "paper_id", "cluster"])
+    def cluster(name: str, pids: list[int]) -> np.ndarray:
+        X = np.stack([embedder.coauthor_vec(p, name, two_hop=TWO_HOP) for p in pids])
+        return hac_average(cosine_distance_matrix(X), threshold=THRESHOLD)
+
+    return cluster_each_name(papers, names, cluster)

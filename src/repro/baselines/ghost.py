@@ -14,7 +14,10 @@ from collections import deque
 import numpy as np
 import pandas as pd
 
+from repro.baselines import cluster_each_name
 from repro.eval.clustering import affinity_propagation
+
+MAX_DEPTH = 3
 
 
 class NameGraph:
@@ -68,31 +71,18 @@ def _paper_similarity(
     return tot / max(1, len(c1) * len(c2))
 
 
-def run_ghost(
-    papers: pd.DataFrame,
-    names: list[str],
-    *,
-    max_depth: int = 3,
-    graph: NameGraph | None = None,
-) -> pd.DataFrame:
+def run_ghost(papers: pd.DataFrame, names: list[str]) -> pd.DataFrame:
     """Cluster each name's papers; returns (name, paper_id, cluster)."""
-    g = graph if graph is not None else NameGraph(papers)
+    g = NameGraph(papers)
     by_pid = papers.set_index("paper_id")
-    pid_by_name: dict[str, list[int]] = {n: [] for n in names}
-    for pid, nms in zip(papers.paper_id, papers.names):
-        for n in nms:
-            if n in pid_by_name:
-                pid_by_name[n].append(pid)
-    rows = []
-    for name, pids in pid_by_name.items():
-        if not pids:
-            continue
+
+    def cluster(name: str, pids: list[int]) -> np.ndarray:
         coauthors = {
             p: [x for x in by_pid.loc[p, "names"] if x != name] for p in pids
         }
         sources = sorted({x for c in coauthors.values() for x in c})
         dists = {
-            s: g.distances_from(s, exclude=name, max_depth=max_depth) for s in sources
+            s: g.distances_from(s, exclude=name, max_depth=MAX_DEPTH) for s in sources
         }
         n = len(pids)
         S = np.zeros((n, n))
@@ -101,6 +91,6 @@ def run_ghost(
                 S[i, j] = S[j, i] = _paper_similarity(
                     coauthors[pids[i]], coauthors[pids[j]], dists
                 )
-        labels = affinity_propagation(S)  # median preference: many exemplars
-        rows += [(name, p, f"{name}:{l}") for p, l in zip(pids, labels)]
-    return pd.DataFrame(rows, columns=["name", "paper_id", "cluster"])
+        return affinity_propagation(S)  # median preference: many exemplars
+
+    return cluster_each_name(papers, names, cluster)

@@ -10,45 +10,35 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 
+from repro.baselines import cluster_each_name
 from repro.baselines.embed import PaperEmbedder, cosine_distance_matrix
 from repro.eval.clustering import affinity_propagation, dbscan
 
+WEIGHTS = (1.0, 1.0, 0.7)
+AP_CUTOVER = 400
+EPS = 0.35
+PREFERENCE_MULT = 4.0
+
 
 def run_nete(
-    papers: pd.DataFrame,
-    names: list[str],
-    *,
-    embedder: PaperEmbedder | None = None,
-    weights: tuple[float, float, float] = (1.0, 1.0, 0.7),
-    ap_cutover: int = 400,
-    eps: float = 0.35,
-    preference_mult: float = 4.0,
+    papers: pd.DataFrame, names: list[str], *, embedder: PaperEmbedder
 ) -> pd.DataFrame:
     """Cluster each name's papers; returns (name, paper_id, cluster)."""
-    emb = embedder if embedder is not None else PaperEmbedder(papers)
-    pid_by_name: dict[str, list[int]] = {n: [] for n in names}
-    for pid, nms in zip(papers.paper_id, papers.names):
-        for n in nms:
-            if n in pid_by_name:
-                pid_by_name[n].append(pid)
-    rows = []
-    for name, pids in pid_by_name.items():
-        if not pids:
-            continue
-        X = np.stack([emb.embed(p, name, weights) for p in pids])
+
+    def cluster(name: str, pids: list[int]) -> np.ndarray:
+        X = np.stack([embedder.embed(p, name, WEIGHTS) for p in pids])
         D = cosine_distance_matrix(X)
-        if len(pids) <= ap_cutover:
+        if len(pids) <= AP_CUTOVER:
             # Preference below the median similarity (×4, similarities are
             # negative distances) yields fewer, larger clusters — AP's knob
             # for the moderate-recall profile NetE shows in Table III.
             S = -D
             pref = (
-                preference_mult * float(np.median(S[~np.eye(len(S), dtype=bool)]))
+                PREFERENCE_MULT * float(np.median(S[~np.eye(len(S), dtype=bool)]))
                 if len(pids) > 1
                 else 0.0
             )
-            labels = affinity_propagation(S, preference=pref)
-        else:
-            labels = dbscan(D, eps=eps, min_samples=2)
-        rows += [(name, p, f"{name}:{l}") for p, l in zip(pids, labels)]
-    return pd.DataFrame(rows, columns=["name", "paper_id", "cluster"])
+            return affinity_propagation(S, preference=pref)
+        return dbscan(D, eps=EPS, min_samples=2)
+
+    return cluster_each_name(papers, names, cluster)

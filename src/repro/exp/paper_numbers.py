@@ -1,7 +1,10 @@
-"""The paper's reported numbers (ICDE 2021, Tables II–VI) for side-by-side
-comparison in jobs/benchmarks and EXPERIMENTS.md."""
+"""The paper's reported numbers (ICDE 2021, Tables II–VI), and each table
+as a frame shaped like the measured one, for the side-by-side print of the
+table CLI and the benchmarks and for EXPERIMENTS.md."""
+import pandas as pd
 
-TABLE2_TOTALS = {"names": 50, "authors_td": 336, "papers_td": 1529, "papers_dblp": 3426}
+# totals over the paper's 50 testing names
+TABLE2_TOTALS = {"n_authors_td": 336, "n_papers_td": 1529, "n_papers_dblp": 3426}
 
 TABLE3 = {
     "AdaBoost": {"MicroA": 0.6812, "MicroP": 0.6891, "MicroR": 0.8046, "MicroF": 0.7424},
@@ -30,13 +33,38 @@ TABLE5 = {
 }
 
 TABLE6 = {
-    100: {"MicroA": 0.8154, "MicroA+": 0.8062, "MicroP": 0.8685, "MicroP+": 0.8649,
-          "MicroR": 0.7974, "MicroR+": 0.7829, "MicroF": 0.8315, "MicroF+": 0.8218,
+    100: {"MicroA": 0.8154, "MicroP": 0.8685, "MicroR": 0.7974, "MicroF": 0.8315,
+          "MicroA+": 0.8062, "MicroP+": 0.8649, "MicroR+": 0.7829, "MicroF+": 0.8218,
           "avg_ms": 47.76},
-    200: {"MicroA": 0.8104, "MicroA+": 0.8079, "MicroP": 0.8546, "MicroP+": 0.8588,
-          "MicroR": 0.8008, "MicroR+": 0.7941, "MicroF": 0.8268, "MicroF+": 0.8252,
+    200: {"MicroA": 0.8104, "MicroP": 0.8546, "MicroR": 0.8008, "MicroF": 0.8268,
+          "MicroA+": 0.8079, "MicroP+": 0.8588, "MicroR+": 0.7941, "MicroF+": 0.8252,
           "avg_ms": 45.22},
-    300: {"MicroA": 0.8166, "MicroA+": 0.8085, "MicroP": 0.8544, "MicroP+": 0.8606,
-          "MicroR": 0.8160, "MicroR+": 0.7931, "MicroF": 0.8348, "MicroF+": 0.8255,
+    300: {"MicroA": 0.8166, "MicroP": 0.8544, "MicroR": 0.8160, "MicroF": 0.8348,
+          "MicroA+": 0.8085, "MicroP+": 0.8606, "MicroR+": 0.7931, "MicroF+": 0.8255,
           "avg_ms": 45.40},
 }
+
+# Each table with the measured table's label column (first) and rows.
+PAPER_FRAMES = {
+    2: pd.DataFrame([{"name": "Total", **TABLE2_TOTALS}]),
+    3: pd.DataFrame(TABLE3).T.reset_index(names="method"),
+    4: pd.DataFrame(TABLE4)
+    .assign(Improv=lambda t: (t.GCN - t.SCN).round(4))
+    .reset_index(names="metric"),
+    5: pd.DataFrame(TABLE5, index=["20%", "40%", "60%", "80%", "100%"]).T.reset_index(names="method"),
+    6: pd.DataFrame(TABLE6).T.reset_index(names="n_new"),
+}
+
+TITLES = {2: "Table II", 3: "Table III", 4: "Table IV",
+          5: "Table V (seconds per name)", 6: "Table VI"}
+
+
+def side_by_side(table: int, measured: pd.DataFrame) -> str:
+    """Table ``table`` as measured, then as the paper reports it."""
+    return "\n".join([
+        f"== {TITLES[table]} ==",
+        "--- measured ---",
+        measured.to_string(index=False),
+        "--- paper ---",
+        PAPER_FRAMES[table].to_string(index=False),
+    ])

@@ -1,8 +1,10 @@
 """Harnesses reproducing the paper's evaluation tables (II–VI).
 
 Each function returns a pandas DataFrame with the same rows the paper
-reports; jobs print them next to the paper's numbers and EXPERIMENTS.md
-records both. Ground truth comes from the synthetic corpus (DESIGN.md § 2).
+reports. ``measure_table`` is the one entry point of the table CLI
+(``jobs/tables.py``) and the benchmarks, which print each table beside
+``paper_numbers.PAPER_FRAMES``; EXPERIMENTS.md records both. Ground truth
+comes from the synthetic corpus (DESIGN.md § 2).
 """
 from __future__ import annotations
 
@@ -15,7 +17,7 @@ from pyspark.sql import SparkSession
 from repro.baselines.aminer import run_aminer
 from repro.baselines.anon import run_anon
 from repro.baselines.embed import PaperEmbedder
-from repro.baselines.ghost import NameGraph, run_ghost
+from repro.baselines.ghost import run_ghost
 from repro.baselines.nete import run_nete
 from repro.baselines.supervised import run_supervised
 from repro.core.incremental import IncrementalJudge
@@ -30,6 +32,19 @@ from repro.core.pipeline import (
 from repro.dblp.generator import Corpus, author_paper_pairs
 from repro.dblp.testing import testing_occurrences, testing_set
 from repro.eval.metrics import Confusion, confusion, confusion_pandas
+
+
+SUPERVISED = ("AdaBoost", "GBDT", "RF", "XGBoost")
+
+# The unsupervised top-down baselines of Tables III and V, each run as
+# run(papers, names, embedder). GHOST reads the co-author graph alone, so
+# Table V charges it no embedding time.
+UNSUPERVISED = {
+    "ANON": lambda papers, names, emb: run_anon(papers, names, embedder=emb),
+    "NetE": lambda papers, names, emb: run_nete(papers, names, embedder=emb),
+    "Aminer": lambda papers, names, emb: run_aminer(papers, names, embedder=emb),
+    "GHOST": lambda papers, names, emb: run_ghost(papers, names),
+}
 
 
 def table2(corpus: Corpus, *, n_names: int = 50) -> pd.DataFrame:
@@ -101,7 +116,7 @@ def table3(
     from repro.baselines.features import FeatureExtractor
 
     fx = FeatureExtractor(corpus.papers)
-    for m in ("AdaBoost", "GBDT", "RF", "XGBoost"):
+    for m in SUPERVISED:
         c = run_supervised(
             m, corpus.papers, occ_all, train_names, eval_names, seed=seed, extractor=fx
         )
@@ -109,13 +124,9 @@ def table3(
 
     # Unsupervised top-down baselines.
     emb = PaperEmbedder(corpus.papers, seed=seed)
-    for m, fn in (
-        ("ANON", lambda: run_anon(corpus.papers, names, embedder=emb)),
-        ("NetE", lambda: run_nete(corpus.papers, names, embedder=emb)),
-        ("Aminer", lambda: run_aminer(corpus.papers, names, embedder=emb)),
-        ("GHOST", lambda: run_ghost(corpus.papers, names)),
-    ):
-        rows.append(_metric_row(m, "Unsupervised", _eval_clustering_pdf(fn(), occ)))
+    for m, run in UNSUPERVISED.items():
+        clusters = run(corpus.papers, names, emb)
+        rows.append(_metric_row(m, "Unsupervised", _eval_clustering_pdf(clusters, occ)))
 
     # IUAD.
     if model is None:
@@ -173,7 +184,7 @@ def table5(
     """
     full = corpus.papers
     names_full = testing_set(full, n_names=n_names).name.tolist()
-    out: dict[str, list[float]] = {m: [] for m in ("ANON", "NetE", "Aminer", "GHOST", "IUAD")}
+    out: dict[str, list[float]] = {m: [] for m in (*UNSUPERVISED, "IUAD")}
     for frac in fractions:
         papers = full.iloc[: int(len(full) * frac)].reset_index(drop=True)
         present = {n for nms in papers.names for n in nms}
@@ -184,18 +195,10 @@ def table5(
         emb = PaperEmbedder(papers, seed=seed)
         emb_t = time.time() - t0
 
-        for m, fn in (
-            ("ANON", lambda: run_anon(papers, names, embedder=emb)),
-            ("NetE", lambda: run_nete(papers, names, embedder=emb)),
-            ("Aminer", lambda: run_aminer(papers, names, embedder=emb)),
-        ):
+        for m, run in UNSUPERVISED.items():
             t0 = time.time()
-            fn()
-            out[m].append((emb_t + time.time() - t0) / denom)
-
-        t0 = time.time()
-        run_ghost(papers, names)
-        out["GHOST"].append((time.time() - t0) / denom)
+            run(papers, names, emb)
+            out[m].append(((0.0 if m == "GHOST" else emb_t) + time.time() - t0) / denom)
 
         sdf = Corpus(papers=papers, authors=corpus.authors).to_spark(spark)
         t0 = time.time()
@@ -276,3 +279,26 @@ def table6(
             }
         )
     return pd.DataFrame(rows)
+
+
+def measure_table(
+    table: int,
+    spark: SparkSession | None,
+    corpus: Corpus,
+    *,
+    n_names: int = 50,
+    eta: int = ETA,
+    delta: float = DELTA,
+    model: IUADModel | None = None,
+) -> pd.DataFrame:
+    """Measure the paper's Table ``table`` (2–6) on ``corpus``, run seed 0.
+
+    Table II reads the corpus alone, so ``spark`` may be None for it.
+    Tables III and IV reuse ``model`` when given, else fit their own.
+    """
+    if table == 2:
+        return table2(corpus, n_names=n_names)
+    kw = {"n_names": n_names, "eta": eta, "delta": delta}
+    if table in (3, 4):
+        kw["model"] = model
+    return {3: table3, 4: table4, 5: table5, 6: table6}[table](spark, corpus, **kw)

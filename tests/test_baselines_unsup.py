@@ -3,19 +3,10 @@ import numpy as np
 import pandas as pd
 import pytest
 
-from repro.baselines.aminer import run_aminer
-from repro.baselines.anon import run_anon
 from repro.baselines.embed import PaperEmbedder, cosine_distance_matrix
-from repro.baselines.ghost import NameGraph, run_ghost
-from repro.baselines.nete import run_nete
+from repro.baselines.ghost import NameGraph
 from repro.eval.metrics import confusion_pandas
-
-RUNNERS = {
-    "ANON": lambda papers, names, emb: run_anon(papers, names, embedder=emb),
-    "NetE": lambda papers, names, emb: run_nete(papers, names, embedder=emb),
-    "Aminer": lambda papers, names, emb: run_aminer(papers, names, embedder=emb),
-    "GHOST": lambda papers, names, emb: run_ghost(papers, names),
-}
+from repro.exp.tables import UNSUPERVISED as RUNNERS
 
 
 @pytest.fixture(scope="module")

@@ -36,11 +36,23 @@ class TestCommon:
         assert (args.sf, args.eta, args.delta, args.names) == (0.02, 3, 4.5, 10)
 
 
-@pytest.mark.parametrize(
-    "job",
-    ["run_iuad", "table2_stats", "table3_baselines", "table4_stages",
-     "table5_scaling", "table6_incremental"],
-)
+class TestTablesCli:
+    def test_parser_defaults(self):
+        args = load("tables").parser().parse_args(["3"])
+        assert (args.sf, args.seed, args.eta, args.delta, args.names) == (0.1, 7, 5, 0.0, 50)
+
+    @pytest.mark.parametrize("table", [2, 3, 4, 5, 6])
+    def test_table_id_parses(self, table):
+        args = load("tables").parser().parse_args([str(table), "--sf", "0.01"])
+        assert (args.table, args.sf) == (table, 0.01)
+
+    @pytest.mark.parametrize("table", ["1", "7", "III"])
+    def test_unknown_table_rejected(self, table):
+        with pytest.raises(SystemExit):
+            load("tables").parser().parse_args([table])
+
+
+@pytest.mark.parametrize("job", ["run_iuad", "tables"])
 def test_job_module_loads_and_has_main(job):
     mod = load(job)
     assert callable(mod.main)
