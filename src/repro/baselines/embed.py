@@ -23,8 +23,14 @@ from collections import Counter
 import numpy as np
 import pandas as pd
 
-from repro.text.embeddings import ppmi_svd
+from repro.text.embeddings import MAX_VOCAB, ppmi_svd
 from repro.text.keywords import FREQUENT_CUT, title_tokens
+
+
+# Dimensions of the title, co-author and venue views.
+TITLE_DIM = 64
+COAUTHOR_DIM = 32
+VENUE_DIM = 16
 
 
 def _stable_hash(s: str, mod: int) -> int:
@@ -42,14 +48,14 @@ def local_keywords(papers: pd.DataFrame, *,
     return {pid: sorted({t for t in ts if df[t] <= cut}) for pid, ts in toks.items()}
 
 
-def local_word_vectors(kw_by_paper: dict[int, list[str]], *, dim: int = 64,
-                       max_vocab: int = 6000) -> dict[str, np.ndarray]:
+def local_word_vectors(kw_by_paper: dict[int, list[str]], *,
+                       dim: int = TITLE_DIM) -> dict[str, np.ndarray]:
     """PPMI + SVD word vectors from title co-occurrence, counted locally
     and factorised like ``repro.text.embeddings.word_vectors``."""
     freq = Counter()
     for ws in kw_by_paper.values():
         freq.update(ws)
-    vocab = [w for w, _ in freq.most_common(max_vocab)]
+    vocab = [w for w, _ in freq.most_common(MAX_VOCAB)]
     index = {w: i for i, w in enumerate(vocab)}
     V = len(vocab)
     if V == 0:
@@ -68,19 +74,16 @@ def local_word_vectors(kw_by_paper: dict[int, list[str]], *, dim: int = 64,
 class PaperEmbedder:
     """Builds per-paper view vectors once for the whole corpus."""
 
-    def __init__(self, papers: pd.DataFrame, *, title_dim: int = 64,
-                 coauthor_dim: int = 32, venue_dim: int = 16, seed: int = 0) -> None:
+    def __init__(self, papers: pd.DataFrame, *, seed: int = 0) -> None:
         self.papers = papers.set_index("paper_id")
         self.kw = local_keywords(papers)
-        self.wv = local_word_vectors(self.kw, dim=title_dim)
-        self.title_dim = title_dim if not self.wv else len(next(iter(self.wv.values())))
+        self.wv = local_word_vectors(self.kw)
+        self.title_dim = TITLE_DIM if not self.wv else len(next(iter(self.wv.values())))
         rng = np.random.default_rng(seed)
         n_buckets = 4096
-        self._proj_co = rng.standard_normal((n_buckets, coauthor_dim)) / math.sqrt(coauthor_dim)
-        self._proj_ven = rng.standard_normal((n_buckets, venue_dim)) / math.sqrt(venue_dim)
+        self._proj_co = rng.standard_normal((n_buckets, COAUTHOR_DIM)) / math.sqrt(COAUTHOR_DIM)
+        self._proj_ven = rng.standard_normal((n_buckets, VENUE_DIM)) / math.sqrt(VENUE_DIM)
         self._n_buckets = n_buckets
-        self.coauthor_dim = coauthor_dim
-        self.venue_dim = venue_dim
         # Name-level neighbourhood vectors for the 2-hop co-author view
         # (ANON's network embedding sees graph structure beyond direct
         # co-authorship; this is the count-based equivalent).
@@ -93,7 +96,7 @@ class PaperEmbedder:
                 s.update(x for x in nms if x != a)
         self._nbr_vec: dict[str, np.ndarray] = {}
         for a, ns in adj.items():
-            v = np.zeros(coauthor_dim)
+            v = np.zeros(COAUTHOR_DIM)
             for m in ns:
                 v += self._proj_co[self._bucket[m]]
             norm = np.linalg.norm(v)
@@ -112,7 +115,7 @@ class PaperEmbedder:
     def coauthor_vec(self, pid: int, target_name: str, *, two_hop: float = 0.0) -> np.ndarray:
         """Hashed bag of co-author names; ``two_hop`` adds that fraction of
         each co-author's (normalised) neighbourhood vector."""
-        acc = np.zeros(self.coauthor_dim)
+        acc = np.zeros(COAUTHOR_DIM)
         for nm in self.papers.loc[pid, "names"]:
             if nm != target_name:
                 acc += self._proj_co[_stable_hash(nm, self._n_buckets)]

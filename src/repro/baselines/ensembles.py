@@ -1,14 +1,20 @@
 """Tree ensembles from scratch: RF, AdaBoost, GBDT, XGBoost-lite.
 
-The four supervised baselines of Table III, re-implemented on the CART /
-Newton trees in ``baselines.trees`` (no sklearn/xgboost offline). All
-expose ``fit(X, y)`` / ``predict(X)`` / ``predict_proba(X)`` for binary y.
+The four supervised baselines of Table III, re-implemented on the one
+gradient/hessian tree in ``baselines.trees`` (no sklearn/xgboost offline).
+Each passes the tree its own (g, h): RF and AdaBoost (−w·y, w) with λ = 0
+(Gini trees), GBDT (−r, 1) (MSE trees on the residual r), XGBoost
+(p − y, p(1 − p)) with λ = 1. All expose ``fit(X, y)`` / ``predict(X)``
+for binary y.
 """
 from __future__ import annotations
 
 import numpy as np
 
-from repro.baselines.trees import DecisionTree, NewtonTree
+from repro.baselines.trees import Tree
+
+# Shrinkage of each boosting stage (GBDT and XGBoost).
+LEARNING_RATE = 0.1
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -16,61 +22,51 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
 
 
 class RandomForest:
-    """Bagged Gini trees with per-split feature subsampling."""
+    """Bagged Gini trees searching √d random features per split."""
 
-    def __init__(self, *, n_estimators: int = 50, max_depth: int = 8,
-                 max_features: str | int = "sqrt", seed: int = 0) -> None:
+    def __init__(self, *, n_estimators: int = 50, max_depth: int = 8, seed: int = 0) -> None:
         self.n_estimators = n_estimators
         self.max_depth = max_depth
-        self.max_features = max_features
         self.seed = seed
-        self.trees: list[DecisionTree] = []
+        self.trees: list[Tree] = []
 
     def fit(self, X: np.ndarray, y: np.ndarray):
         X, y = np.asarray(X, float), np.asarray(y, float)
         rng = np.random.default_rng(self.seed)
-        mf = (
-            max(1, int(np.sqrt(X.shape[1])))
-            if self.max_features == "sqrt"
-            else int(self.max_features)
-        )
+        mf = max(1, int(np.sqrt(X.shape[1])))
         self.trees = []
         for i in range(self.n_estimators):
             idx = rng.integers(0, len(X), len(X))
-            t = DecisionTree(
-                max_depth=self.max_depth, max_features=mf, task="clf",
-                seed=self.seed + i + 1,
-            )
-            t.fit(X[idx], y[idx])
+            t = Tree(max_depth=self.max_depth, max_features=mf, seed=self.seed + i + 1)
+            t.fit(X[idx], -y[idx], np.ones(len(idx)))
             self.trees.append(t)
         return self
 
-    def predict_proba(self, X: np.ndarray) -> np.ndarray:
-        p = np.mean([t.predict_value(X) for t in self.trees], axis=0)
-        return np.stack([1 - p, p], axis=1)
-
     def predict(self, X: np.ndarray) -> np.ndarray:
-        return (self.predict_proba(X)[:, 1] >= 0.5).astype(int)
+        p = np.mean([t.predict_value(X) for t in self.trees], axis=0)
+        return (p >= 0.5).astype(int)
 
 
 class AdaBoost:
-    """Discrete AdaBoost (SAMME) with shallow CART stumps."""
+    """Discrete AdaBoost (SAMME) with shallow Gini trees."""
 
-    def __init__(self, *, n_estimators: int = 80, max_depth: int = 2, seed: int = 0) -> None:
+    def __init__(self, *, n_estimators: int = 80, max_depth: int = 2) -> None:
         self.n_estimators = n_estimators
         self.max_depth = max_depth
-        self.seed = seed
-        self.stages: list[tuple[float, DecisionTree]] = []
+        self.stages: list[tuple[float, Tree]] = []
+
+    @staticmethod
+    def _vote(t: Tree, X: np.ndarray) -> np.ndarray:
+        return (t.predict_value(X) >= 0.5).astype(int)
 
     def fit(self, X: np.ndarray, y: np.ndarray):
         X, y = np.asarray(X, float), np.asarray(y, float)
         w = np.full(len(y), 1.0 / len(y))
         ypm = 2 * y - 1
         self.stages = []
-        for i in range(self.n_estimators):
-            t = DecisionTree(max_depth=self.max_depth, task="clf", seed=self.seed + i)
-            t.fit(X, y, sample_weight=w)
-            pred = t.predict(X)
+        for _ in range(self.n_estimators):
+            t = Tree(max_depth=self.max_depth).fit(X, -w * y, w)
+            pred = self._vote(t, X)
             err = float(w[pred != y].sum() / w.sum())
             if err >= 0.5:
                 break
@@ -83,33 +79,35 @@ class AdaBoost:
                 break
         return self
 
-    def decision_function(self, X: np.ndarray) -> np.ndarray:
+    def predict(self, X: np.ndarray) -> np.ndarray:
         if not self.stages:
-            return np.zeros(len(X))
-        return np.sum(
-            [a * (2 * t.predict(X) - 1) for a, t in self.stages], axis=0
-        )
+            return np.ones(len(X), dtype=int)
+        F = np.sum([a * (2 * self._vote(t, X) - 1) for a, t in self.stages], axis=0)
+        return (F >= 0).astype(int)
+
+
+class _Boosting:
+    """Logistic-loss boosting: F = f0 + LEARNING_RATE · Σ tree(X)."""
+
+    def __init__(self, *, n_estimators: int = 100, max_depth: int = 3) -> None:
+        self.n_estimators = n_estimators
+        self.max_depth = max_depth
+        self.f0 = 0.0
+        self.trees: list[Tree] = []
+
+    def decision_function(self, X: np.ndarray) -> np.ndarray:
+        F = np.full(len(X), self.f0)
+        for t in self.trees:
+            F = F + LEARNING_RATE * t.predict_value(X)
+        return F
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         return (self.decision_function(X) >= 0).astype(int)
 
-    def predict_proba(self, X: np.ndarray) -> np.ndarray:
-        p = _sigmoid(2 * self.decision_function(X))
-        return np.stack([1 - p, p], axis=1)
 
-
-class GradientBoosting:
-    """GBDT with logistic loss: MSE trees fit to residuals, Newton-rescaled
-    leaf values (Friedman's classic algorithm)."""
-
-    def __init__(self, *, n_estimators: int = 100, learning_rate: float = 0.1,
-                 max_depth: int = 3, seed: int = 0) -> None:
-        self.n_estimators = n_estimators
-        self.learning_rate = learning_rate
-        self.max_depth = max_depth
-        self.seed = seed
-        self.f0 = 0.0
-        self.trees: list[DecisionTree] = []
+class GradientBoosting(_Boosting):
+    """GBDT: MSE trees fit to residuals, Newton-rescaled leaf values
+    (Friedman's classic algorithm)."""
 
     def fit(self, X: np.ndarray, y: np.ndarray):
         X, y = np.asarray(X, float), np.asarray(y, float)
@@ -117,81 +115,39 @@ class GradientBoosting:
         self.f0 = float(np.log(p / (1 - p)))
         F = np.full(len(y), self.f0)
         self.trees = []
-        for i in range(self.n_estimators):
+        for _ in range(self.n_estimators):
             prob = _sigmoid(F)
             resid = y - prob
-            t = DecisionTree(max_depth=self.max_depth, task="reg", seed=self.seed + i)
-            t.fit(X, resid)
+            t = Tree(max_depth=self.max_depth).fit(X, -resid, np.ones(len(y)))
             # Newton leaf rescale: replace each leaf mean(r) with
             # sum(r)/sum(p(1-p)) over the leaf.
-            self._newton_rescale(t._root, X, resid, prob * (1 - prob))
-            F = F + self.learning_rate * t.predict_value(X)
+            h = prob * (1 - prob)
+            leaf = t.apply(X)
+            for k in np.unique(leaf):
+                m = leaf == k
+                hs = h[m].sum()
+                t.value[k] = float(resid[m].sum() / hs) if hs > 1e-12 else 0.0
+            F = F + LEARNING_RATE * t.predict_value(X)
             self.trees.append(t)
         return self
 
-    def _newton_rescale(self, node, X, r, h, idx=None):
-        if idx is None:
-            idx = np.arange(len(X))
-        if node.is_leaf:
-            hs = h[idx].sum()
-            node.value = float(r[idx].sum() / hs) if hs > 1e-12 else 0.0
-            return
-        mask = X[idx, node.feature] <= node.thresh
-        self._newton_rescale(node.left, X, r, h, idx[mask])
-        self._newton_rescale(node.right, X, r, h, idx[~mask])
 
-    def decision_function(self, X: np.ndarray) -> np.ndarray:
-        F = np.full(len(X), self.f0)
-        for t in self.trees:
-            F = F + self.learning_rate * t.predict_value(X)
-        return F
-
-    def predict_proba(self, X: np.ndarray) -> np.ndarray:
-        p = _sigmoid(self.decision_function(X))
-        return np.stack([1 - p, p], axis=1)
-
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        return (self.decision_function(X) >= 0).astype(int)
-
-
-class XGBoostLite:
+class XGBoostLite(_Boosting):
     """Second-order boosting with L2-regularised Newton trees (the core of
-    XGBoost: exact greedy split on structure gain, shrinkage, λ/γ)."""
+    XGBoost: exact greedy split on structure gain, shrinkage, λ)."""
 
-    def __init__(self, *, n_estimators: int = 100, learning_rate: float = 0.1,
-                 max_depth: int = 3, lam: float = 1.0, gamma: float = 0.0,
-                 base_score: float = 0.5) -> None:
-        self.n_estimators = n_estimators
-        self.learning_rate = learning_rate
-        self.max_depth = max_depth
+    def __init__(self, *, n_estimators: int = 100, max_depth: int = 3, lam: float = 1.0) -> None:
+        super().__init__(n_estimators=n_estimators, max_depth=max_depth)
         self.lam = lam
-        self.gamma = gamma
-        self.base_score = base_score
-        self.trees: list[NewtonTree] = []
 
     def fit(self, X: np.ndarray, y: np.ndarray):
         X, y = np.asarray(X, float), np.asarray(y, float)
-        F = np.full(len(y), float(np.log(self.base_score / (1 - self.base_score))))
+        F = np.full(len(y), self.f0)
         self.trees = []
         for _ in range(self.n_estimators):
             p = _sigmoid(F)
-            g = p - y
-            h = np.maximum(p * (1 - p), 1e-12)
-            t = NewtonTree(max_depth=self.max_depth, lam=self.lam, gamma=self.gamma)
-            t.fit(X, g, h)
-            F = F + self.learning_rate * t.predict_value(X)
+            t = Tree(max_depth=self.max_depth, lam=self.lam, min_child_hessian=1.0)
+            t.fit(X, p - y, np.maximum(p * (1 - p), 1e-12))
+            F = F + LEARNING_RATE * t.predict_value(X)
             self.trees.append(t)
         return self
-
-    def decision_function(self, X: np.ndarray) -> np.ndarray:
-        F = np.full(len(X), float(np.log(self.base_score / (1 - self.base_score))))
-        for t in self.trees:
-            F = F + self.learning_rate * t.predict_value(X)
-        return F
-
-    def predict_proba(self, X: np.ndarray) -> np.ndarray:
-        p = _sigmoid(self.decision_function(X))
-        return np.stack([1 - p, p], axis=1)
-
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        return (self.decision_function(X) >= 0).astype(int)

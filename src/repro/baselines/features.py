@@ -15,20 +15,6 @@ import pandas as pd
 
 from repro.text.keywords import title_tokens
 
-FEATURE_NAMES = (
-    "n_shared_coauthors",
-    "jaccard_coauthors",
-    "rarest_shared_coauthor",
-    "title_jaccard",
-    "title_tfidf_cosine",
-    "venue_equal",
-    "venue_rarity",
-    "year_gap",
-    "n_coauthors_min",
-    "n_coauthors_max",
-)
-
-
 class FeatureExtractor:
     """Precomputes corpus statistics once; then vectorises paper pairs."""
 
@@ -51,6 +37,12 @@ class FeatureExtractor:
         return math.log(self.n_papers / (1 + self.token_df.get(tok, 0)))
 
     def pair(self, p1: int, p2: int, target_name: str) -> np.ndarray:
+        """Feature vector of two papers sharing ``target_name``; co-authors
+        exclude that name. Columns, in order: shared co-author count,
+        co-author Jaccard, rarest shared co-author (1 / log of its corpus
+        frequency), title keyword Jaccard, title tf-idf cosine, venue
+        equal, venue rarity (1 / log of its frequency, when equal), year
+        gap, and the smaller and larger co-author count."""
         r1, r2 = self.papers.loc[p1], self.papers.loc[p2]
         c1 = self._namesets[p1] - {target_name}
         c2 = self._namesets[p2] - {target_name}

@@ -17,9 +17,12 @@ from repro.baselines.ensembles import AdaBoost, GradientBoosting, RandomForest, 
 from repro.baselines.features import FeatureExtractor
 from repro.eval.metrics import Confusion
 
+# Training pairs beyond this many are subsampled (seeded).
+MAX_TRAIN_PAIRS = 20000
+
 MODELS = {
-    "AdaBoost": lambda seed: AdaBoost(n_estimators=60, max_depth=2, seed=seed),
-    "GBDT": lambda seed: GradientBoosting(n_estimators=80, max_depth=3, seed=seed),
+    "AdaBoost": lambda seed: AdaBoost(n_estimators=60, max_depth=2),
+    "GBDT": lambda seed: GradientBoosting(n_estimators=80, max_depth=3),
     "RF": lambda seed: RandomForest(n_estimators=50, max_depth=8, seed=seed),
     "XGBoost": lambda seed: XGBoostLite(n_estimators=80, max_depth=3),
 }
@@ -47,15 +50,14 @@ def run_supervised(
     test_names: list[str],
     *,
     seed: int = 0,
-    max_train_pairs: int = 20000,
     extractor: FeatureExtractor | None = None,
 ) -> Confusion:
     """Train a pairwise classifier on ``train_names`` and evaluate the micro
     confusion over ``test_names`` pairs."""
     fx = extractor if extractor is not None else FeatureExtractor(papers)
     train = labelled_name_pairs(occ, train_names)
-    if len(train) > max_train_pairs:
-        train = train.sample(max_train_pairs, random_state=seed)
+    if len(train) > MAX_TRAIN_PAIRS:
+        train = train.sample(MAX_TRAIN_PAIRS, random_state=seed)
     test = labelled_name_pairs(occ, test_names)
     Xtr = fx.pairs_matrix(train)
     Xte = fx.pairs_matrix(test)

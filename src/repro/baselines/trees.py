@@ -1,217 +1,131 @@
-"""CART decision trees from scratch (numpy).
+"""One regression tree on per-sample gradients and hessians (numpy).
 
 Substrate for the supervised baselines of Table III (AdaBoost, GBDT, RF,
 XGBoost) — no sklearn/xgboost exists offline, so the tree learner is built
-here. One implementation serves three uses:
+here. Every tree is grown from a gradient ``g`` and hessian ``h`` per
+sample with one split search, the second-order structure gain of XGBoost
+(Chen & Guestrin, KDD 2016) on the bracket
 
-* weighted classification trees (Gini) — Random Forest, AdaBoost;
-* weighted regression trees (MSE) — GBDT's gradient fitting;
-* Newton trees on (gradient, hessian) with L2 regularisation — XGBoost-lite.
+    B = G_L²/(H_L + λ) + G_R²/(H_R + λ) − G²/(H + λ),
 
-Split search is exact over sorted feature values with cumulative-sum
-impurity evaluation (vectorised per feature).
+and every leaf predicts −G/(H + λ). The CART criteria are the λ = 0 case:
+with g = −w·y and h = w, B is half the weighted Gini reduction of a binary
+y and equals the weighted MSE reduction of a real y, and the leaf value is
+the weighted mean of y. Split search is exact over sorted feature values
+with cumulative sums (vectorised per feature).
 """
 from __future__ import annotations
 
-import dataclasses
-
 import numpy as np
 
-
-@dataclasses.dataclass
-class _Node:
-    feature: int = -1
-    thresh: float = 0.0
-    left: "_Node | None" = None
-    right: "_Node | None" = None
-    value: float = 0.0          # leaf prediction (prob of class 1 / value / weight)
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.left is None
+# A split is taken only if its bracket B exceeds this floor.
+MIN_GAIN = 1e-12
+# Each child of a split keeps at least this many samples.
+MIN_CHILD_SAMPLES = 2
 
 
-def _best_split_impurity(
-    x: np.ndarray, y: np.ndarray, w: np.ndarray, criterion: str
+def _best_split(
+    x: np.ndarray, g: np.ndarray, h: np.ndarray, lam: float
 ) -> tuple[float, float] | None:
-    """Best threshold on one feature by weighted Gini (clf) or MSE (reg).
+    """Best threshold on one feature by the bracket B.
 
-    Returns (gain, threshold) or None if no valid split exists.
+    Returns (B, threshold), or None if no split has B above ``MIN_GAIN``.
     """
     order = np.argsort(x, kind="stable")
-    xs, ys, ws = x[order], y[order], w[order]
-    W = ws.sum()
-    if W <= 0:
-        return None
-    cw = np.cumsum(ws)
-    cwy = np.cumsum(ws * ys)
-    cwyy = np.cumsum(ws * ys * ys)
+    xs = x[order]
     # Candidate boundaries: positions where the value changes.
     diff = np.flatnonzero(xs[1:] != xs[:-1])
     if len(diff) == 0:
         return None
-    wl = cw[diff]
-    wr = W - wl
-    syl = cwy[diff]
-    syr = cwy[-1] - syl
-    if criterion == "gini":
-        # Binary y in {0,1}: gini = 2 p (1-p) per side, weighted.
-        pl = syl / wl
-        pr = syr / np.maximum(wr, 1e-12)
-        child = wl * 2 * pl * (1 - pl) + wr * 2 * pr * (1 - pr)
-        p = cwy[-1] / W
-        parent = W * 2 * p * (1 - p)
-    else:  # mse
-        syyl = cwyy[diff]
-        syyr = cwyy[-1] - syyl
-        child = (syyl - syl**2 / wl) + (syyr - syr**2 / np.maximum(wr, 1e-12))
-        parent = cwyy[-1] - cwy[-1] ** 2 / W
-    gains = parent - child
-    k = int(np.argmax(gains))
-    if gains[k] <= 1e-12:
-        return None
-    thresh = (xs[diff[k]] + xs[diff[k] + 1]) / 2.0
-    return float(gains[k]), thresh
-
-
-def _best_split_newton(
-    x: np.ndarray, g: np.ndarray, h: np.ndarray, lam: float, gamma: float
-) -> tuple[float, float] | None:
-    """Best threshold by the XGBoost structure gain on gradients/hessians."""
-    order = np.argsort(x, kind="stable")
-    xs, gs, hs = x[order], g[order], h[order]
-    cg, ch = np.cumsum(gs), np.cumsum(hs)
-    diff = np.flatnonzero(xs[1:] != xs[:-1])
-    if len(diff) == 0:
-        return None
+    cg, ch = np.cumsum(g[order]), np.cumsum(h[order])
     GL, HL = cg[diff], ch[diff]
     GR, HR = cg[-1] - GL, ch[-1] - HL
-    gain = 0.5 * (
-        GL**2 / (HL + lam) + GR**2 / (HR + lam) - cg[-1] ** 2 / (ch[-1] + lam)
-    ) - gamma
+    # H_R is a difference of cumulative sums and can round to zero at λ = 0.
+    gain = (
+        GL**2 / (HL + lam) + GR**2 / np.maximum(HR + lam, 1e-12)
+        - cg[-1] ** 2 / (ch[-1] + lam)
+    )
     k = int(np.argmax(gain))
-    if gain[k] <= 0:
+    if gain[k] <= MIN_GAIN:
         return None
-    thresh = (xs[diff[k]] + xs[diff[k] + 1]) / 2.0
-    return float(gain[k]), thresh
+    return float(gain[k]), (xs[diff[k]] + xs[diff[k] + 1]) / 2.0
 
 
-class DecisionTree:
-    """CART tree. ``task``: 'clf' (Gini, predicts P(y=1)) or 'reg' (MSE)."""
+class Tree:
+    """Depth-limited tree on (g, h) with L2 λ on the leaf values.
+
+    ``min_child_hessian`` is the least Σh a child may hold (XGBoost's
+    ``min_child_weight``); ``max_features`` features, drawn per node from
+    ``seed``, are searched (all when None).
+    """
 
     def __init__(
         self,
         *,
-        max_depth: int = 4,
-        min_samples_leaf: int = 2,
+        max_depth: int,
+        lam: float = 0.0,
+        min_child_hessian: float = 0.0,
         max_features: int | None = None,
-        task: str = "clf",
         seed: int = 0,
     ) -> None:
         self.max_depth = max_depth
-        self.min_samples_leaf = min_samples_leaf
+        self.lam = lam
+        self.min_child_hessian = min_child_hessian
         self.max_features = max_features
-        self.task = task
         self._rng = np.random.default_rng(seed)
-        self._root: _Node | None = None
 
-    def fit(self, X: np.ndarray, y: np.ndarray, sample_weight: np.ndarray | None = None):
-        X = np.asarray(X, dtype=float)
-        y = np.asarray(y, dtype=float)
-        w = np.ones(len(y)) if sample_weight is None else np.asarray(sample_weight, float)
-        self._root = self._grow(X, y, w, depth=0)
+    def fit(self, X: np.ndarray, g: np.ndarray, h: np.ndarray):
+        # One [feature, thresh, left, right, value] per node, root first;
+        # a leaf has feature -1. Stored as one array per field.
+        nodes: list[list] = []
+        self._grow(np.asarray(X, float), np.asarray(g, float), np.asarray(h, float), 0, nodes)
+        self.feature, self.thresh, self.left, self.right, self.value = map(np.array, zip(*nodes))
         return self
 
-    def _leaf_value(self, y: np.ndarray, w: np.ndarray) -> float:
-        W = w.sum()
-        return float((w * y).sum() / W) if W > 0 else 0.0
-
-    def _grow(self, X, y, w, depth) -> _Node:
-        node = _Node(value=self._leaf_value(y, w))
-        if depth >= self.max_depth or len(y) < 2 * self.min_samples_leaf:
-            return node
+    def _grow(self, X, g, h, depth, nodes) -> int:
+        k = len(nodes)
+        node = [-1, 0.0, -1, -1, float(-g.sum() / (h.sum() + self.lam))]
+        nodes.append(node)
+        if (
+            depth >= self.max_depth
+            or len(g) < 2 * MIN_CHILD_SAMPLES
+            or h.sum() < 2 * self.min_child_hessian
+        ):
+            return k
         n_feat = X.shape[1]
         feats = np.arange(n_feat)
         if self.max_features is not None and self.max_features < n_feat:
             feats = self._rng.choice(n_feat, size=self.max_features, replace=False)
-        crit = "gini" if self.task == "clf" else "mse"
         best = None
         for f in feats:
-            res = _best_split_impurity(X[:, f], y, w, crit)
+            res = _best_split(X[:, f], g, h, self.lam)
             if res and (best is None or res[0] > best[0]):
                 best = (res[0], int(f), res[1])
         if best is None:
-            return node
+            return k
         _, f, t = best
         mask = X[:, f] <= t
-        if mask.sum() < self.min_samples_leaf or (~mask).sum() < self.min_samples_leaf:
-            return node
-        node.feature, node.thresh = f, t
-        node.left = self._grow(X[mask], y[mask], w[mask], depth + 1)
-        node.right = self._grow(X[~mask], y[~mask], w[~mask], depth + 1)
+        for side in (mask, ~mask):
+            if side.sum() < MIN_CHILD_SAMPLES or h[side].sum() < self.min_child_hessian:
+                return k
+        node[0], node[1] = f, t
+        node[2] = self._grow(X[mask], g[mask], h[mask], depth + 1, nodes)
+        node[3] = self._grow(X[~mask], g[~mask], h[~mask], depth + 1, nodes)
+        return k
+
+    def apply(self, X: np.ndarray) -> np.ndarray:
+        """Leaf index of each row of ``X``."""
+        X = np.asarray(X, dtype=float)
+        rows = np.arange(len(X))
+        node = np.zeros(len(X), dtype=int)
+        for _ in range(self.max_depth):
+            f = self.feature[node]
+            inner = f >= 0
+            if not inner.any():
+                break
+            go_left = X[rows, np.maximum(f, 0)] <= self.thresh[node]
+            node = np.where(inner, np.where(go_left, self.left[node], self.right[node]), node)
         return node
 
     def predict_value(self, X: np.ndarray) -> np.ndarray:
-        X = np.asarray(X, dtype=float)
-        out = np.empty(len(X))
-        for i, row in enumerate(X):
-            n = self._root
-            while not n.is_leaf:
-                n = n.left if row[n.feature] <= n.thresh else n.right
-            out[i] = n.value
-        return out
-
-    # classification sugar
-    def predict_proba(self, X: np.ndarray) -> np.ndarray:
-        p = np.clip(self.predict_value(X), 0.0, 1.0)
-        return np.stack([1 - p, p], axis=1)
-
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        return (self.predict_value(X) >= 0.5).astype(int)
-
-
-class NewtonTree:
-    """Regression tree on (g, h) with L2 λ and split penalty γ (XGBoost)."""
-
-    def __init__(self, *, max_depth: int = 4, lam: float = 1.0, gamma: float = 0.0,
-                 min_child_weight: float = 1.0) -> None:
-        self.max_depth = max_depth
-        self.lam = lam
-        self.gamma = gamma
-        self.min_child_weight = min_child_weight
-        self._root: _Node | None = None
-
-    def fit(self, X: np.ndarray, g: np.ndarray, h: np.ndarray):
-        self._root = self._grow(np.asarray(X, float), np.asarray(g, float),
-                                np.asarray(h, float), 0)
-        return self
-
-    def _grow(self, X, g, h, depth) -> _Node:
-        node = _Node(value=float(-g.sum() / (h.sum() + self.lam)))
-        if depth >= self.max_depth or h.sum() < 2 * self.min_child_weight:
-            return node
-        best = None
-        for f in range(X.shape[1]):
-            res = _best_split_newton(X[:, f], g, h, self.lam, self.gamma)
-            if res and (best is None or res[0] > best[0]):
-                best = (res[0], f, res[1])
-        if best is None:
-            return node
-        _, f, t = best
-        mask = X[:, f] <= t
-        if h[mask].sum() < self.min_child_weight or h[~mask].sum() < self.min_child_weight:
-            return node
-        node.feature, node.thresh = f, t
-        node.left = self._grow(X[mask], g[mask], h[mask], depth + 1)
-        node.right = self._grow(X[~mask], g[~mask], h[~mask], depth + 1)
-        return node
-
-    def predict_value(self, X: np.ndarray) -> np.ndarray:
-        X = np.asarray(X, dtype=float)
-        out = np.empty(len(X))
-        for i, row in enumerate(X):
-            n = self._root
-            while not n.is_leaf:
-                n = n.left if row[n.feature] <= n.thresh else n.right
-            out[i] = n.value
-        return out
+        return self.value[self.apply(X)]

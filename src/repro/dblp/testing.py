@@ -13,7 +13,11 @@ import pandas as pd
 from repro.dblp.generator import author_paper_pairs
 
 
-def testing_set(papers: pd.DataFrame, *, n_names: int = 50, min_authors: int = 2,
+# A testing name is shared by at least this many authors.
+MIN_AUTHORS = 2
+
+
+def testing_set(papers: pd.DataFrame, *, n_names: int = 50,
                 min_papers: int = 4) -> pd.DataFrame:
     """Pick ``n_names`` ambiguous names from the corpus.
 
@@ -29,7 +33,7 @@ def testing_set(papers: pd.DataFrame, *, n_names: int = 50, min_authors: int = 2
         n_papers_dblp=("paper_id", "nunique"),
     )
     cand = per_name[
-        (per_name.n_authors_td >= min_authors) & (per_name.n_papers_dblp >= min_papers)
+        (per_name.n_authors_td >= MIN_AUTHORS) & (per_name.n_papers_dblp >= min_papers)
     ].copy()
     # Rank by ambiguity then volume, as Table II is dominated by names with
     # many authors and a few dozen papers.

@@ -49,12 +49,16 @@ def hac_average(dist: np.ndarray, *, threshold: float) -> np.ndarray:
     return labels
 
 
+# Affinity Propagation's message damping, iteration cap, and the number of
+# iterations the exemplar set must stay unchanged to stop early.
+AP_DAMPING = 0.7
+AP_MAX_ITER = 200
+AP_CONVERGENCE_ITER = 15
+
+
 def affinity_propagation(
     sim: np.ndarray,
     *,
-    damping: float = 0.7,
-    max_iter: int = 200,
-    convergence_iter: int = 15,
     preference: float | None = None,
     seed: int = 0,
 ) -> np.ndarray:
@@ -74,7 +78,7 @@ def affinity_propagation(
     A = np.zeros((n, n))
     stable = 0
     last = None
-    for _ in range(max_iter):
+    for _ in range(AP_MAX_ITER):
         AS = A + S
         idx = np.argmax(AS, axis=1)
         first = AS[np.arange(n), idx]
@@ -82,19 +86,19 @@ def affinity_propagation(
         second = AS.max(axis=1)
         Rnew = S - first[:, None]
         Rnew[np.arange(n), idx] = S[np.arange(n), idx] - second
-        R = damping * R + (1 - damping) * Rnew
+        R = AP_DAMPING * R + (1 - AP_DAMPING) * Rnew
         Rp = np.maximum(R, 0)
         np.fill_diagonal(Rp, R.diagonal())
         Anew = Rp.sum(axis=0)[None, :] - Rp
         dA = Anew.diagonal().copy()
         Anew = np.minimum(Anew, 0)
         np.fill_diagonal(Anew, dA)
-        A = damping * A + (1 - damping) * Anew
+        A = AP_DAMPING * A + (1 - AP_DAMPING) * Anew
         exemplars = np.flatnonzero((A + R).diagonal() > 0)
         key = tuple(exemplars.tolist())
         if key == last:
             stable += 1
-            if stable >= convergence_iter:
+            if stable >= AP_CONVERGENCE_ITER:
                 break
         else:
             stable = 0

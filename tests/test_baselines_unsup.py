@@ -3,7 +3,7 @@ import numpy as np
 import pandas as pd
 import pytest
 
-from repro.baselines.embed import PaperEmbedder, cosine_distance_matrix
+from repro.baselines.embed import COAUTHOR_DIM, VENUE_DIM, PaperEmbedder, cosine_distance_matrix
 from repro.baselines.ghost import NameGraph
 from repro.eval.metrics import confusion_pandas
 from repro.exp.tables import UNSUPERVISED as RUNNERS
@@ -22,7 +22,7 @@ def few_names(test_names):
 class TestEmbedder:
     def test_embed_dimensions(self, embedder):
         v = embedder.embed(0, "nobody", (1.0, 1.0, 1.0))
-        assert v.shape == (embedder.coauthor_dim + embedder.title_dim + embedder.venue_dim,)
+        assert v.shape == (COAUTHOR_DIM + embedder.title_dim + VENUE_DIM,)
 
     def test_target_name_excluded_from_coauthor_view(self, corpus, embedder):
         row = corpus.papers.iloc[0]

@@ -10,7 +10,21 @@ import numpy as np
 import pandas as pd
 import pytest
 
-from repro.baselines.features import FEATURE_NAMES, FeatureExtractor
+from repro.baselines.features import FeatureExtractor
+
+# The columns of FeatureExtractor.pair, in order.
+FEATURE_NAMES = (
+    "n_shared_coauthors",
+    "jaccard_coauthors",
+    "rarest_shared_coauthor",
+    "title_jaccard",
+    "title_tfidf_cosine",
+    "venue_equal",
+    "venue_rarity",
+    "year_gap",
+    "n_coauthors_min",
+    "n_coauthors_max",
+)
 
 
 @pytest.fixture(scope="module")

@@ -1,7 +1,7 @@
 """Every public function, class and constant of the pipeline packages has
 a caller.
 
-Parses ``src/repro/{core,graph,text}`` and looks for a reference to each
+Parses every package under ``src/repro`` and looks for a reference to each
 public top-level function, class or constant (a module-level name bound by
 an assignment) anywhere under ``src/``, ``jobs/``,
 ``benchmarks/`` or ``perfbench/``, outside its own definition. An
@@ -16,7 +16,9 @@ import ast
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-PACKAGES = ("core", "graph", "text")
+PACKAGES = sorted(
+    p.name for p in (ROOT / "src" / "repro").iterdir() if (p / "__init__.py").exists()
+)
 CALLER_DIRS = ("src", "jobs", "benchmarks", "perfbench")
 
 
@@ -33,42 +35,46 @@ def _defined_names(node: ast.stmt) -> list[str]:
     return [t.id for t in targets if isinstance(t, ast.Name)]
 
 
-def _definitions() -> dict[str, Path]:
-    """Public top-level function/class/constant name -> defining file."""
-    defs = {}
+def _definitions() -> set[tuple[str, Path]]:
+    """Public top-level function/class/constant (name, defining file)
+    pairs; two modules may define the same name."""
+    defs = set()
     for pkg in PACKAGES:
         for path in sorted((ROOT / "src" / "repro" / pkg).glob("*.py")):
             for node in _parse(path).body:
                 for name in _defined_names(node):
                     if not name.startswith("_"):
-                        defs[name] = path
+                        defs.add((name, path))
     return defs
 
 
-def _referenced_names(node: ast.AST, bare: set[str]) -> set[str]:
-    """Attributes and imported names, plus the bare ``Name``s in ``bare``
-    that are read."""
+def _referenced_names(
+    node: ast.AST, path: Path, bare: set[str]
+) -> set[tuple[str, Path | None]]:
+    """Attributes and imported names as (name, None), which may refer to
+    any module's definition, plus the bare ``Name``s in ``bare`` that are
+    read, as (name, path)."""
     out = set()
     for sub in ast.walk(node):
         if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load) and sub.id in bare:
-            out.add(sub.id)
+            out.add((sub.id, path))
         elif isinstance(sub, ast.Attribute):
-            out.add(sub.attr)
+            out.add((sub.attr, None))
         elif isinstance(sub, ast.ImportFrom):
-            out.update(a.name for a in sub.names)
+            out.update((a.name, None) for a in sub.names)
     return out
 
 
-def _references(defs: dict[str, Path]) -> set[str]:
-    """Names referenced from caller files, skipping each definition's own
-    body in its own file."""
+def _references(defs: set[tuple[str, Path]]) -> set[tuple[str, Path | None]]:
+    """References from caller files, skipping each definition's own body
+    in its own file."""
     refs = set()
     for d in CALLER_DIRS:
         for path in sorted((ROOT / d).rglob("*.py")):
-            bare = {n for n, p in defs.items() if p == path}
+            bare = {n for n, p in defs if p == path}
             for node in _parse(path).body:
-                own = {n for n in _defined_names(node) if defs.get(n) == path}
-                refs |= _referenced_names(node, bare) - own
+                own = {n for n in _defined_names(node) if n in bare}
+                refs |= {r for r in _referenced_names(node, path, bare) if r[0] not in own}
     return refs
 
 
@@ -76,6 +82,8 @@ def test_every_public_definition_is_referenced():
     defs = _definitions()
     refs = _references(defs)
     dead = sorted(
-        f"{path.relative_to(ROOT)}: {name}" for name, path in defs.items() if name not in refs
+        f"{path.relative_to(ROOT)}: {name}"
+        for name, path in defs
+        if (name, None) not in refs and (name, path) not in refs
     )
     assert not dead, "no caller under src/, jobs/, benchmarks/ or perfbench/:\n" + "\n".join(dead)
