@@ -15,26 +15,39 @@ import pandas as pd
 
 from repro.text.keywords import title_tokens
 
+
 class FeatureExtractor:
-    """Precomputes corpus statistics once; then vectorises paper pairs."""
+    """Computes corpus statistics and each paper's values once; then
+    vectorises paper pairs from them."""
 
     def __init__(self, papers: pd.DataFrame) -> None:
-        self.papers = papers.set_index("paper_id")
-        self.n_papers = len(papers)
+        n_papers = len(papers)
         self.name_freq: Counter = Counter()
-        self.token_df: Counter = Counter()
+        token_df: Counter = Counter()
         self.venue_freq: Counter = Counter()
-        self._tokens: dict[int, list[str]] = {}
+        tokens: dict[int, list[str]] = {}
+        #: per paper: co-author name set, venue, year
         self._namesets: dict[int, frozenset[str]] = {}
-        for pid, row in self.papers.iterrows():
-            self._tokens[pid] = toks = title_tokens(row["title"])
-            self.token_df.update(set(toks))
-            self._namesets[pid] = frozenset(row["names"])
-            self.name_freq.update(row["names"])
-            self.venue_freq[row["venue"]] += 1
-
-    def _idf(self, tok: str) -> float:
-        return math.log(self.n_papers / (1 + self.token_df.get(tok, 0)))
+        self._venue: dict[int, str] = {}
+        self._year: dict[int, int] = {}
+        cols = papers[["paper_id", "names", "title", "venue", "year"]]
+        for pid, names, title, venue, year in cols.itertuples(index=False):
+            tokens[pid] = toks = title_tokens(title)
+            token_df.update(set(toks))
+            self._namesets[pid] = frozenset(names)
+            self.name_freq.update(names)
+            self.venue_freq[venue] += 1
+            self._venue[pid], self._year[pid] = venue, int(year)
+        idf = {t: math.log(n_papers / (1 + c)) for t, c in token_df.items()}
+        #: per title token: idf²; per paper: token set, token counts and
+        #: tf-idf norm.
+        self._idf2 = {t: w ** 2 for t, w in idf.items()}
+        self._tokset = {pid: set(toks) for pid, toks in tokens.items()}
+        self._tf = {pid: Counter(toks) for pid, toks in tokens.items()}
+        self._tf_norm = {
+            pid: math.sqrt(sum((c * idf[t]) ** 2 for t, c in tf.items()))
+            for pid, tf in self._tf.items()
+        }
 
     def pair(self, p1: int, p2: int, target_name: str) -> np.ndarray:
         """Feature vector of two papers sharing ``target_name``; co-authors
@@ -43,7 +56,6 @@ class FeatureExtractor:
         frequency), title keyword Jaccard, title tf-idf cosine, venue
         equal, venue rarity (1 / log of its frequency, when equal), year
         gap, and the smaller and larger co-author count."""
-        r1, r2 = self.papers.loc[p1], self.papers.loc[p2]
         c1 = self._namesets[p1] - {target_name}
         c2 = self._namesets[p2] - {target_name}
         shared = c1 & c2
@@ -51,21 +63,18 @@ class FeatureExtractor:
         rarest = max(
             (1.0 / math.log(max(self.name_freq[n], 2)) for n in shared), default=0.0
         )
-        t1, t2 = set(self._tokens[p1]), set(self._tokens[p2])
+        t1, t2 = self._tokset[p1], self._tokset[p2]
         tj = len(t1 & t2) / len(t1 | t2) if t1 | t2 else 0.0
-        # tf-idf cosine over title tokens
-        v1 = Counter(self._tokens[p1])
-        v2 = Counter(self._tokens[p2])
-        # Summed in sorted order: set order follows the per-process string
-        # hash seed, and the sum's last bit would follow it too.
-        dot = sum(v1[t] * v2[t] * self._idf(t) ** 2 for t in sorted(v1.keys() & v2.keys()))
-        n1 = math.sqrt(sum((c * self._idf(t)) ** 2 for t, c in v1.items()))
-        n2 = math.sqrt(sum((c * self._idf(t)) ** 2 for t, c in v2.items()))
+        # tf-idf cosine over title tokens, summed in sorted order: set order
+        # follows the per-process string hash seed, and the sum's last bit
+        # would follow it too.
+        v1, v2 = self._tf[p1], self._tf[p2]
+        dot = sum(v1[t] * v2[t] * self._idf2[t] for t in sorted(v1.keys() & v2.keys()))
+        n1, n2 = self._tf_norm[p1], self._tf_norm[p2]
         cos = dot / (n1 * n2) if n1 > 0 and n2 > 0 else 0.0
-        venue_eq = float(r1["venue"] == r2["venue"])
-        venue_rar = (
-            1.0 / math.log(max(self.venue_freq[r1["venue"]], 2)) if venue_eq else 0.0
-        )
+        venue = self._venue[p1]
+        venue_eq = float(venue == self._venue[p2])
+        venue_rar = 1.0 / math.log(max(self.venue_freq[venue], 2)) if venue_eq else 0.0
         return np.array(
             [
                 float(len(shared)),
@@ -75,7 +84,7 @@ class FeatureExtractor:
                 cos,
                 venue_eq,
                 venue_rar,
-                float(abs(int(r1["year"]) - int(r2["year"]))),
+                float(abs(self._year[p1] - self._year[p2])),
                 float(min(len(c1), len(c2))),
                 float(max(len(c1), len(c2))),
             ]

@@ -5,7 +5,9 @@ l_j ∈ {M, U} with prior p = P(M); conditional on the component, the six
 similarities are independent with exponential-family marginals — Gaussian
 or Exponential, per ``DEFAULT_DISTS``. EM alternates the responsibility-
 weighted Table I MLEs with the posterior E-step. The matching score
-(eq. 11) is the log posterior-odds.
+(eq. 11) is the log posterior-odds. The M-step is the one place the
+variance floor and the λ caps apply. Every γ matrix has one column per
+``GAMMA_NAMES`` entry, in that order.
 
 ``fit_em`` runs EM in numpy over a collected sample: the paper trains on a
 10 % sample of pairs, so the training matrix is small by design.
@@ -17,7 +19,6 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from typing import Sequence
 
 import numpy as np
 
@@ -35,10 +36,13 @@ DEFAULT_DISTS: dict[str, str] = {
     "g6_comm": "exponential",
 }
 
+# The caps on the fitted marginals, applied once, in the M-step
+# (``_mstep_moments``); the log-densities read the parameters as given.
+# The variance floor keeps a constant feature's density finite. λ is capped
+# well below the unconstrained MLE for all-zero features: an exponential
+# fitted to a mass at 0 would otherwise drive log-odds to ±∞ for any
+# nonzero similarity.
 _VAR_FLOOR = 1e-4
-# λ is capped well below the unconstrained MLE for all-zero features: an
-# exponential fitted to a mass at 0 would otherwise drive log-odds to ±∞
-# for any nonzero similarity.
 _LAM_LO, _LAM_HI = 1e-6, 20.0
 _P_LO, _P_HI = 1e-6, 1 - 1e-6
 # EM schedule: share of pairs initialised as probable matches, iteration
@@ -72,12 +76,10 @@ class EMParams:
 
 
 def _gauss_logpdf(x: np.ndarray, mu: float, var: float) -> np.ndarray:
-    var = max(var, _VAR_FLOOR)
     return -0.5 * np.log(2 * np.pi * var) - (x - mu) ** 2 / (2 * var)
 
 
 def _exp_logpdf(x: np.ndarray, lam: float) -> np.ndarray:
-    lam = min(max(lam, _LAM_LO), _LAM_HI)
     return math.log(lam) - lam * np.maximum(x, 0.0)
 
 
@@ -118,35 +120,31 @@ def _init_responsibilities(X: np.ndarray, seed: int) -> np.ndarray:
     return np.clip(r + g.normal(0, 0.01, len(r)), 0.01, 0.99)
 
 
-def _log_joint(
-    X: np.ndarray, feats: Sequence[str], params: EMParams
-) -> tuple[np.ndarray, np.ndarray]:
+def _log_joint(X: np.ndarray, params: EMParams) -> tuple[np.ndarray, np.ndarray]:
     """Per-row log P(γ, M) and log P(γ, U): the prior plus each feature's
-    log-density, summed in ``feats`` order."""
+    log-density, summed in ``GAMMA_NAMES`` order."""
     lm = np.full(len(X), math.log(max(params.p, _P_LO)))
     lu = np.full(len(X), math.log(max(1 - params.p, _P_LO)))
-    for i, f in enumerate(feats):
+    for i, f in enumerate(GAMMA_NAMES):
         fp = params.features[f]
         lm = lm + _feature_logpdf(X[:, i], fp, "M")
         lu = lu + _feature_logpdf(X[:, i], fp, "U")
     return lm, lu
 
 
-def loglik_and_resp(
-    X: np.ndarray, feats: Sequence[str], params: EMParams
-) -> tuple[float, np.ndarray]:
+def loglik_and_resp(X: np.ndarray, params: EMParams) -> tuple[float, np.ndarray]:
     """E-step: total log-likelihood and responsibilities P(M | γ, Θ)."""
-    lm, lu = _log_joint(X, feats, params)
+    lm, lu = _log_joint(X, params)
     mx = np.maximum(lm, lu)
     ll = float(np.sum(mx + np.log(np.exp(lm - mx) + np.exp(lu - mx))))
     resp = 1.0 / (1.0 + np.exp(np.clip(lu - lm, -500, 500)))
     return ll, resp
 
 
-def _mstep(X: np.ndarray, feats: Sequence[str], r: np.ndarray) -> EMParams:
+def _mstep(X: np.ndarray, r: np.ndarray) -> EMParams:
     p = float(np.clip(r.mean(), _P_LO, _P_HI))
     out: dict[str, FeatureParams] = {}
-    for i, f in enumerate(feats):
+    for i, f in enumerate(GAMMA_NAMES):
         x, d = X[:, i], DEFAULT_DISTS[f]
         m = _mstep_moments(
             d, sr=float(r.sum()), srx=float((r * x).sum()), srxx=float((r * x * x).sum())
@@ -161,32 +159,32 @@ def _mstep(X: np.ndarray, feats: Sequence[str], r: np.ndarray) -> EMParams:
     return EMParams(p=p, features=out)
 
 
-def fit_em(X: np.ndarray, *, feats: Sequence[str] = GAMMA_NAMES, seed: int = 0) -> EMParams:
-    """EM on a (n, len(feats)) similarity matrix, each feature with its
-    ``DEFAULT_DISTS`` family. Returns fitted parameters with the matched
-    component oriented as the *higher-similarity* one."""
+def fit_em(X: np.ndarray, *, seed: int = 0) -> EMParams:
+    """EM on an (n, 6) γ matrix, columns in ``GAMMA_NAMES`` order, each
+    feature with its ``DEFAULT_DISTS`` family. Returns fitted parameters
+    with the matched component oriented as the *higher-similarity* one."""
     X = np.asarray(X, dtype=float)
     r = _init_responsibilities(X, seed)
-    params = _mstep(X, feats, r)
+    params = _mstep(X, r)
     trace: list[float] = []
     for _ in range(_N_ITER):
-        ll, r = loglik_and_resp(X, feats, params)
-        params = _mstep(X, feats, r)
+        ll, r = loglik_and_resp(X, params)
+        params = _mstep(X, r)
         trace.append(ll)
         if len(trace) > 1 and abs(ll - trace[-2]) < _TOL * (abs(trace[-2]) + 1):
             break
     params.loglik = trace
-    return _orient(params, feats)
+    return _orient(params)
 
 
-def _orient(params: EMParams, feats: Sequence[str]) -> EMParams:
+def _orient(params: EMParams) -> EMParams:
     """Ensure the 'matched' component is the high-similarity one (EM is
     label-symmetric). Decide by the sum of component means across features."""
     def mean_of(prm: dict, dist: str) -> float:
         return prm["mu"] if dist == "gaussian" else 1.0 / prm["lam"]
 
-    m_mean = sum(mean_of(params.features[f].matched, params.features[f].dist) for f in feats)
-    u_mean = sum(mean_of(params.features[f].unmatched, params.features[f].dist) for f in feats)
+    m_mean = sum(mean_of(fp.matched, fp.dist) for fp in params.features.values())
+    u_mean = sum(mean_of(fp.unmatched, fp.dist) for fp in params.features.values())
     if m_mean >= u_mean:
         return params
     return dataclasses.replace(
@@ -199,10 +197,8 @@ def _orient(params: EMParams, feats: Sequence[str]) -> EMParams:
     )
 
 
-def score_array(
-    X: np.ndarray, params: EMParams, feats: Sequence[str] = GAMMA_NAMES
-) -> np.ndarray:
-    """Matching scores sc_j (eq. 11), log P(γ, M) − log P(γ, U), for a
-    (n, len(feats)) γ matrix."""
-    lm, lu = _log_joint(np.atleast_2d(np.asarray(X, dtype=float)), feats, params)
+def score_array(X: np.ndarray, params: EMParams) -> np.ndarray:
+    """Matching scores sc_j (eq. 11), log P(γ, M) − log P(γ, U), for an
+    (n, 6) γ matrix."""
+    lm, lu = _log_joint(np.atleast_2d(np.asarray(X, dtype=float)), params)
     return lm - lu

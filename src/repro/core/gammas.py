@@ -2,7 +2,9 @@
 
 A vertex is summarised by a *profile* (built in ``core.profiles`` by Spark
 aggregation); the γ vector of a vertex pair is a pure function of the two
-profiles plus corpus statistics.
+profiles plus corpus statistics. Profiles hold counts; the rest is derived
+here: h_v by ``modal_venue``, which every path that makes a profile calls,
+and each WL map's norm inside the γ₁ kernel.
 
 ``gamma_block`` is the one kernel the pipeline runs: the γ of every pair of
 two profile sequences as one numpy block. It backs the batch path
@@ -42,9 +44,9 @@ class Profile:
     venues: dict[str, int]            # venue -> #papers (multiset H(v))
     modal_venue: str | None           # most frequent venue (h_v)
     keywords: dict[str, tuple[int, int, int]]  # kw -> (count, min_year, max_year)
-    wl: dict[str, float]              # WL feature map (label -> count)
-    wl_norm: float
-    triangles: frozenset[str]         # "n1|n2" name pairs closing a triangle
+    # WL feature map (label -> count); empty without SCN edges.
+    wl: dict[str, float] = dataclasses.field(default_factory=dict)
+    triangles: frozenset[str] = frozenset()  # "n1|n2" name pairs closing a triangle
 
 
 @dataclasses.dataclass
@@ -54,13 +56,16 @@ class CorpusStats:
     fb: Mapping[str, int]             # keyword -> #papers in whole corpus
     fh: Mapping[str, int]             # venue -> #papers in whole corpus
     word_vectors: Mapping[str, np.ndarray]
-    dim: int
-    alpha: float = ALPHA
+
+    @property
+    def dim(self) -> int:
+        """Width of the word vectors; 0 without any."""
+        return len(next(iter(self.word_vectors.values()), ()))
 
 
 def modal_venue(venues: Mapping[str, int]) -> str | None:
-    """h_v: the venue with the most papers, ties to the larger name; None
-    without venues. ``profiles.build_profiles`` is its Catalyst form."""
+    """h_v (eq. 8): the venue with the most papers, ties to the larger name;
+    None without venues."""
     return max(venues.items(), key=lambda kv: (kv[1], kv[0]))[0] if venues else None
 
 
@@ -76,12 +81,14 @@ def _mean_vec(p: Profile, stats: CorpusStats) -> np.ndarray:
 
 
 def g1_wl_kernel(pi: Profile, pj: Profile) -> float:
-    """Normalized WL sub-graph kernel (eq. 4); 0 if either map is empty."""
-    if pi.wl_norm == 0.0 or pj.wl_norm == 0.0:
+    """Normalized WL sub-graph kernel (eq. 4): the inner product of the two
+    maps over the square root of their self-kernels; 0 if either is 0."""
+    ni, nj = (math.sqrt(sum(c * c for c in p.wl.values())) for p in (pi, pj))
+    if ni == 0.0 or nj == 0.0:
         return 0.0
     small, big = (pi.wl, pj.wl) if len(pi.wl) <= len(pj.wl) else (pj.wl, pi.wl)
     dot = sum(c * big.get(k, 0.0) for k, c in small.items())
-    return float(dot / (pi.wl_norm * pj.wl_norm))
+    return float(dot / (ni * nj))
 
 
 def g2_clique(pi: Profile, pj: Profile, tau: int) -> float:
@@ -114,7 +121,7 @@ def g4_time(pi: Profile, pj: Profile, tau: int, stats: CorpusStats) -> float:
         _, lo2, hi2 = other
         gap = max(0, max(lo1, lo2) - min(hi1, hi2))
         fb = max(stats.fb.get(w, 2), 2)
-        s += math.exp(-stats.alpha * gap) / math.log(fb)
+        s += math.exp(-ALPHA * gap) / math.log(fb)
     return s / tau
 
 
@@ -164,12 +171,13 @@ def gamma_block(a: Sequence[Profile], b: Sequence[Profile], stats: CorpusStats) 
     out = np.zeros((m, n, len(GAMMA_NAMES)))
     if not m or not n:
         return out
-    tau = np.maximum(1.0, np.minimum.outer(_field(a, "n_papers"), _field(b, "n_papers")))
+    na, nb = (np.array([p.n_papers for p in ps], dtype=float) for ps in (a, b))
+    tau = np.maximum(1.0, np.minimum.outer(na, nb))
 
     # γ₁: inner products of the WL count maps over the product of norms.
     if wl := _Feature.shared(a, b, "wl", width=1):
-        norms = np.outer(_field(a, "wl_norm"), _field(b, "wl_norm"))
         wa, wb = wl.dense_pair(field=0)
+        norms = np.outer(np.sqrt((wa * wa).sum(1)), np.sqrt((wb * wb).sum(1)))
         out[..., 0] = _ratio(wa @ wb.T, norms)
 
     # γ₂: shared triangle literals.
@@ -202,10 +210,6 @@ def gamma_block(a: Sequence[Profile], b: Sequence[Profile], stats: CorpusStats) 
         pa, pb = ven.dense_pair()
         out[..., 5] = (pa * inv_log_fh) @ pb.T / tau
     return out
-
-
-def _field(profiles: Sequence[Profile], attr: str) -> np.ndarray:
-    return np.array([getattr(p, attr) for p in profiles], dtype=float)
 
 
 class _Side(NamedTuple):
@@ -289,6 +293,6 @@ def _time_terms(kw: _Feature, stats: CorpusStats) -> np.ndarray:
         e += start
         w, va = a.cols[e], a.vals[e]
         gap = np.maximum(0.0, np.maximum(va[:, 1], lo_b[j, w]) - np.minimum(va[:, 2], hi_b[j, w]))
-        terms = np.exp(-stats.alpha * gap) * inv_log_fb[w]
+        terms = np.exp(-ALPHA * gap) * inv_log_fb[w]
         acc += np.bincount(a.rows[e] * b.n + j, terms, acc.size)
     return acc.reshape(a.n, b.n)

@@ -44,9 +44,6 @@ def profile_for_paper(paper: Mapping, name: str, stats: CorpusStats) -> Profile:
         venues={paper["venue"]: 1},
         modal_venue=paper["venue"],
         keywords={k: (1, year, year) for k in kws},
-        wl={},
-        wl_norm=0.0,
-        triangles=frozenset(),
     )
 
 
@@ -143,6 +140,5 @@ def _combine(a: Profile, b: Profile) -> Profile:
         modal_venue=modal_venue(venues),
         keywords=kws,
         wl=wl,
-        wl_norm=float(np.sqrt(sum(c * c for c in wl.values()))),
         triangles=a.triangles | b.triangles,
     )

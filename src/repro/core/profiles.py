@@ -1,9 +1,13 @@
 """Per-vertex profiles: Spark aggregation of everything γ₁..γ₆ consume.
 
-One row per SCN vertex with venue/keyword/WL/triangle summaries. The heavy
-lifting (joins, groupBys, WL refinement, triangle listing) is Catalyst
-dataflow; the result is compact enough to group by name for per-partition
-pair scoring, or to collect per name for incremental judgement.
+One row per SCN vertex holding counts only: papers, venue counts, keyword
+counts with their year range, WL label counts and triangle literals.
+What is derived from counts is derived where it is used, by the one rule
+that defines it: ``row_to_profile`` sets h_v with ``gammas.modal_venue``,
+and the γ₁ kernel takes each WL map's norm. The heavy lifting (joins,
+groupBys, WL refinement, triangle listing) is Catalyst dataflow; the
+result is compact enough to group by name for per-partition pair scoring,
+or to collect per name for incremental judgement.
 
 Dataflow: each paper's keyword list is computed in-row from its title,
 and FB, FH and the word-vector vocabulary (which is FB) come back from one
@@ -22,7 +26,7 @@ import numpy as np
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
-from repro.core.gammas import ALPHA, CorpusStats, Profile
+from repro.core.gammas import CorpusStats, Profile, modal_venue
 from repro.core.scn import SCN, VSEP
 from repro.core.wl import wl_features
 from repro.graph.triangles import vertex_triangles
@@ -77,7 +81,6 @@ def build_profiles(papers: DataFrame, scn: SCN) -> ProfileSet:
             # A vertex holds one occurrence per paper: one venue fact each.
             F.sum(on_venue(F.col("cnt"))).alias("n_papers"),
             F.sort_array(F.collect_list(on_venue(F.struct("key", "cnt")))).alias("vc"),
-            F.max(on_venue(F.struct("cnt", "key"))).alias("modal"),
             F.sort_array(F.collect_list(on_kw(F.struct("key", "cnt", "miny", "maxy")))).alias("ks"),
         )
         .select(
@@ -86,7 +89,6 @@ def build_profiles(papers: DataFrame, scn: SCN) -> ProfileSet:
             "n_papers",
             F.col("vc.key").alias("venue_names"),
             F.col("vc.cnt").alias("venue_counts"),
-            F.col("modal.key").alias("modal_venue"),
             F.col("ks.key").alias("kw"),
             F.col("ks.cnt").alias("kw_counts"),
             F.col("ks.miny").cast("array<int>").alias("kw_min_year"),
@@ -125,42 +127,38 @@ def build_profiles(papers: DataFrame, scn: SCN) -> ProfileSet:
             "n_papers",
             "venue_names",
             "venue_counts",
-            "modal_venue",
             "kw",
             "kw_counts",
             "kw_min_year",
             "kw_max_year",
             _empty(F.col("wl_labels"), "array<string>").alias("wl_labels"),
             _empty(F.col("wl_counts"), "array<double>").alias("wl_counts"),
-            F.coalesce("wl_norm", F.lit(0.0)).alias("wl_norm"),
             _empty(F.col("tri"), "array<string>").alias("tri"),
         )
     ).localCheckpoint(eager=False)  # truncate the WL/triangle join lineage
 
     wv = word_vectors(kw.papers, kw.fb)
     vecs = {k: np.asarray(v) for k, v in zip(wv["keyword"], wv["vec"])}
-    dim = len(next(iter(vecs.values()))) if vecs else 0
-    stats = CorpusStats(fb=kw.fb, fh=kw.fh, word_vectors=vecs, dim=dim, alpha=ALPHA)
-    return ProfileSet(profiles=prof, stats=stats)
+    return ProfileSet(profiles=prof, stats=CorpusStats(fb=kw.fb, fh=kw.fh, word_vectors=vecs))
 
 
 def row_to_profile(row) -> Profile:
-    """Convert a profile row (Spark Row / pandas namedtuple-like mapping with
-    the columns of ``build_profiles``' rows) into a ``gammas.Profile``."""
-    get = row.__getitem__ if hasattr(row, "__getitem__") else getattr
+    """Convert a profile row (a Spark Row or a mapping with the columns of
+    ``build_profiles``' rows) into a ``gammas.Profile``; h_v is
+    ``gammas.modal_venue`` of the venue counts."""
+    venues = {v: int(c) for v, c in zip(row["venue_names"], row["venue_counts"])}
     return Profile(
-        vertex_id=get("vertex_id"),
-        name=get("name"),
-        n_papers=int(get("n_papers")),
-        venues={v: int(c) for v, c in zip(get("venue_names"), get("venue_counts"))},
-        modal_venue=get("modal_venue"),
+        vertex_id=row["vertex_id"],
+        name=row["name"],
+        n_papers=int(row["n_papers"]),
+        venues=venues,
+        modal_venue=modal_venue(venues),
         keywords={
             k: (int(c), int(lo), int(hi))
             for k, c, lo, hi in zip(
-                get("kw"), get("kw_counts"), get("kw_min_year"), get("kw_max_year")
+                row["kw"], row["kw_counts"], row["kw_min_year"], row["kw_max_year"]
             )
         },
-        wl={k: float(c) for k, c in zip(get("wl_labels"), get("wl_counts"))},
-        wl_norm=float(get("wl_norm")),
-        triangles=frozenset(get("tri")),
+        wl={k: float(c) for k, c in zip(row["wl_labels"], row["wl_counts"])},
+        triangles=frozenset(row["tri"]),
     )

@@ -57,7 +57,7 @@ def split_profile(p: Profile, rng: np.random.Generator) -> tuple[Profile, Profil
     def rebuild_kw(half: dict[str, int]) -> dict[str, tuple[int, int, int]]:
         return {k: (c, p.keywords[k][1], p.keywords[k][2]) for k, c in half.items()}
 
-    # Structural features (WL map, triangles) are dropped from the halves:
+    # Structural features (WL map, triangles) stay at their empty defaults:
     # a genuine cross-phase matched pair has disjoint collaboration
     # structure, so keeping the parent's identical WL/triangles would teach
     # the matched component γ₁ = γ₂ = 1 — the opposite of what real matched
@@ -69,9 +69,6 @@ def split_profile(p: Profile, rng: np.random.Generator) -> tuple[Profile, Profil
         venues=v,
         modal_venue=modal_venue(v) if v else p.modal_venue,
         keywords=rebuild_kw(kws),
-        wl={},
-        wl_norm=0.0,
-        triangles=frozenset(),
     )
     return mk(n1, va, ka, "a"), mk(n2, vb, kb, "b")
 

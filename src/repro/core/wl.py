@@ -1,8 +1,10 @@
-"""Normalized Weisfeiler–Lehman sub-graph kernel features (γ₁).
+"""Weisfeiler–Lehman sub-graph kernel features (γ₁).
 
 Per the paper, γ₁ compares two same-name SCN vertices by the WL sub-graph
 kernel: inner product of label-count feature maps over h WL refinement
-iterations, normalized by the self-kernels (eq. 3–4).
+iterations, normalized by the self-kernels (eq. 3–4). This module builds
+the label-count maps; the normalization is the γ₁ kernel's own
+(``gammas.gamma_block`` and ``gammas.g1_wl_kernel`` take each map's norm).
 
 Implementation: global WL label refinement on the SCN graph in the
 adjacency-list form of Shervashidze et al. (*Weisfeiler–Lehman Graph
@@ -59,9 +61,8 @@ def wl_features(edges: DataFrame, vertices: DataFrame, *, h: int = 2) -> DataFra
 
     ``edges``: (u, v) SCN vertex-id pairs. ``vertices``: (vertex_id, name),
     one or more rows per vertex. Returns one row per vertex: (vertex_id,
-    wl_labels array<string>, wl_counts array<double>, wl_norm double) where
-    wl_norm is sqrt of the self-kernel. Vertices with no SCN edges get empty
-    maps and norm 0.
+    wl_labels array<string>, wl_counts array<double>). Vertices with no SCN
+    edges get empty maps.
     """
     u, v = F.col("u"), F.col("v")
     state = _regroup(
@@ -98,11 +99,4 @@ def wl_features(edges: DataFrame, vertices: DataFrame, *, h: int = 2) -> DataFra
     counts = F.transform(
         feats, lambda f: F.size(F.filter("feats", lambda g: g == f)).cast("double")
     )
-    return state.select(
-        "vertex_id", feats.alias("wl_labels"), counts.alias("wl_counts")
-    ).select(
-        "vertex_id",
-        "wl_labels",
-        "wl_counts",
-        F.sqrt(F.aggregate("wl_counts", F.lit(0.0), lambda acc, x: acc + x * x)).alias("wl_norm"),
-    )
+    return state.select("vertex_id", feats.alias("wl_labels"), counts.alias("wl_counts"))

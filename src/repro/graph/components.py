@@ -25,10 +25,8 @@ class UnionFind:
     def __init__(self) -> None:
         self._parent: dict[Hashable, Hashable] = {}
 
-    def add(self, x: Hashable) -> None:
-        self._parent.setdefault(x, x)
-
     def find(self, x: Hashable) -> Hashable:
+        """The root of ``x``; a node not seen yet becomes a singleton."""
         p = self._parent
         p.setdefault(x, x)
         while p[x] != x:
@@ -41,7 +39,7 @@ class UnionFind:
         if ra != rb:
             # Deterministic root: smaller label wins, so component ids do not
             # depend on edge order.
-            if str(rb) < str(ra):
+            if rb < ra:
                 ra, rb = rb, ra
             self._parent[rb] = ra
 

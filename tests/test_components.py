@@ -12,7 +12,7 @@ def local_components(edges, nodes=()) -> dict:
     """Reference/local implementation: node -> component representative."""
     uf = UnionFind()
     for n in nodes:
-        uf.add(n)
+        uf.find(n)
     for u, v in edges:
         uf.union(u, v)
     return uf.components()
@@ -21,8 +21,8 @@ def local_components(edges, nodes=()) -> dict:
 class TestUnionFind:
     def test_singleton(self):
         uf = UnionFind()
-        uf.add("a")
         assert uf.find("a") == "a"
+        assert uf.components() == {"a": "a"}
 
     def test_union_two(self):
         uf = UnionFind()

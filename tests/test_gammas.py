@@ -43,7 +43,6 @@ def mk_profile(
         modal_venue=modal_venue(venues),
         keywords=keywords or {},
         wl=wl,
-        wl_norm=math.sqrt(sum(c * c for c in wl.values())),
         triangles=frozenset(triangles),
     )
 
@@ -58,7 +57,6 @@ def stats():
             "kw2": np.array([0.0, 1.0]),
             "rare": np.array([1.0, 1.0]),
         },
-        dim=2,
     )
 
 
@@ -153,7 +151,7 @@ class TestG4Time:
 
     def test_fb_floor_two(self, stats):
         """FB=1 would make 1/log(FB) blow up; the floor keeps it finite."""
-        s = CorpusStats(fb={"w": 1}, fh={}, word_vectors={}, dim=2)
+        s = CorpusStats(fb={"w": 1}, fh={}, word_vectors={})
         p1 = mk_profile(keywords={"w": (1, 2000, 2000)})
         v = g4_time(p1, p1, 1, s)
         assert v == pytest.approx(1.0 / math.log(2))
@@ -287,10 +285,11 @@ class TestGammaBlock:
         assert_block_matches([a, b, c], [a, b, c], stats)
 
     def test_wl_norm_zero(self, stats):
-        a = dataclasses.replace(mk_profile(wl={"0:a": 1.0}), wl_norm=0.0)
+        """A WL map whose counts are all 0 has norm 0, and γ₁ is then 0."""
+        a = mk_profile(wl={"0:a": 0.0})
         b = mk_profile(wl={"0:a": 2.0})
         assert_block_matches([a, b], [a, b], stats)
-        assert gamma_block([a], [b], stats)[0, 0, 0] == 0.0
+        assert gamma_block([a], [b], stats)[0, 0, 0] == g1_wl_kernel(a, b) == 0.0
 
     def test_no_triangles(self, stats):
         a = mk_profile(triangles=())

@@ -19,7 +19,6 @@ def stats():
             "kernel": np.array([0.9, 0.1]),
             "matrix": np.array([0.0, 1.0]),
         },
-        dim=2,
     )
 
 
@@ -244,7 +243,6 @@ class TestCombine:
         b = mk_profile(wl={"0:x": 2.0, "0:y": 1.0})
         c = _combine(a, b)
         assert c.wl == {"0:x": 3.0, "0:y": 1.0}
-        assert c.wl_norm == pytest.approx(np.sqrt(9 + 1))
 
 
 @pytest.mark.spark

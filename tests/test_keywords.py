@@ -113,7 +113,7 @@ def test_batch_and_stream_read_titles_alike(spark, corpus):
         for r in df.select("i", title_keywords(F.col("title"), STOPWORDS).alias("kws")).collect()
     }
     vocab = {t for kws in batch.values() for t in kws}
-    stats = CorpusStats(fb=dict.fromkeys(vocab, 1), fh={}, word_vectors={}, dim=0)
+    stats = CorpusStats(fb=dict.fromkeys(vocab, 1), fh={}, word_vectors={})
     for i, title in enumerate(titles):
         assert list(dict.fromkeys(title_tokens(title))) == batch[i], repr(title)
         paper = {"paper_id": i, "names": ["n"], "title": title, "venue": "V", "year": 2000}

@@ -39,6 +39,13 @@ def _resolves(module: str, name: str) -> bool:
         return False
 
 
+def _callable(module: str, qualname: str):
+    fn = importlib.import_module(module)
+    for part in qualname.split("."):
+        fn = getattr(fn, part)
+    return fn
+
+
 @pytest.mark.parametrize(
     "module, qualname, args",
     [
@@ -53,10 +60,33 @@ def _resolves(module: str, name: str) -> bool:
 def test_call_shapes(module, qualname, args):
     """The benchmark calls these positionally with these arguments and no
     others; the signature must still accept the call."""
-    fn = importlib.import_module(module)
-    for part in qualname.split("."):
-        fn = getattr(fn, part)
-    inspect.signature(fn).bind(*args)
+    inspect.signature(_callable(module, qualname)).bind(*args)
+
+
+@pytest.mark.parametrize(
+    "qualname, args, kwargs",
+    [
+        ("fit_em", ("X",), {"seed": 0}),
+        ("synthetic_matched_gammas", ("profiles", "stats"), {"n": 30, "seed": 0}),
+    ],
+)
+def test_traced_call_shapes(qualname, args, kwargs):
+    """``spans._observe`` reads ``args[0]`` of these traced layers, so
+    ``run_iuad`` must still call them in this shape, the EM sample first and
+    positional."""
+    inspect.signature(_callable("repro.core.pipeline", qualname)).bind(*args, **kwargs)
+
+
+def test_observed_results_have_their_fields():
+    """``spans._observe`` reads ``len()`` of the sampling result and
+    ``n_iter`` of the EM result."""
+    from repro.core.em import EMParams
+    from repro.core.gammas import CorpusStats
+    from repro.core.pipeline import synthetic_matched_gammas
+
+    assert EMParams(p=0.5, features={}, loglik=[1.0, 2.0]).n_iter == 2
+    stats = CorpusStats(fb={}, fh={}, word_vectors={})
+    assert len(synthetic_matched_gammas([], stats, n=30, seed=0)) == 0
 
 
 @pytest.fixture(scope="module")

@@ -14,6 +14,7 @@ from repro.core.gammas import GAMMA_NAMES
 from repro.core.pipeline import gcn_assignments, run_iuad, scn_only_assignments
 from repro.dblp.generator import PAPER_SCHEMA
 from repro.eval.metrics import confusion
+from repro.obs import spark_jobs
 from tests.test_incremental import bad_papers
 
 
@@ -99,13 +100,29 @@ class TestBadPaper:
     """One malformed paper fails the run when its co-author list is first
     read."""
 
-    @bad_papers
-    def test_raises(self, spark, tiny_papers_pdf, change, message):
-        pdf = tiny_papers_pdf.astype(object)
+    @staticmethod
+    def _papers(spark, pdf, change):
+        pdf = pdf.astype(object)
         bad = len(pdf) // 2
         for col, value in change.items():
             pdf.at[bad, col] = value
         nullable = T.StructType([T.StructField(f.name, f.dataType) for f in PAPER_SCHEMA])
-        papers = spark.createDataFrame(pdf, schema=nullable)
+        return spark.createDataFrame(pdf, schema=nullable)
+
+    @bad_papers
+    def test_raises(self, spark, tiny_papers_pdf, change, message):
+        papers = self._papers(spark, tiny_papers_pdf, change)
         with pytest.raises(Exception, match=message):
             run_iuad(spark, papers, eta=2, delta=0.0, seed=0)
+
+    def test_raises_from_a_task(self, spark, tiny_papers_pdf):
+        """A frame made from pandas rows with Arrow on is a local relation:
+        the optimizer evaluates the check over its rows, so the cases above
+        raise while planning, before any job starts (a repartition on top
+        does not change that). A checkpointed frame is read by tasks, so
+        the check raises inside the first job that reads the names."""
+        papers = self._papers(spark, tiny_papers_pdf, {"names": []}).localCheckpoint()
+        with spark_jobs(spark.sparkContext) as jc:
+            with pytest.raises(Exception, match="empty co-author list"):
+                run_iuad(spark, papers, eta=2, delta=0.0, seed=0)
+        assert jc.jobs >= 1

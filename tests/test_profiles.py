@@ -41,18 +41,25 @@ class TestProfiles:
         )
         assert bad == 0
 
+    def test_row_is_counts_only(self, spark, profile_set):
+        """A profile row holds counts; h_v and the WL norm are derived from
+        them where they are used."""
+        assert profile_set.profiles.columns == [
+            "name", "vertex_id", "n_papers", "venue_names", "venue_counts", "kw",
+            "kw_counts", "kw_min_year", "kw_max_year", "wl_labels", "wl_counts", "tri",
+        ]
+
     def test_modal_venue_is_argmax(self, spark, profile_set):
         for r in profile_set.profiles.limit(100).collect():
-            if r.venue_names:
-                venues = dict(zip(r.venue_names, r.venue_counts))
-                best = max(venues.values())
-                assert venues[r.modal_venue] == best
-                assert r.modal_venue == modal_venue(venues)
+            p = row_to_profile(r)
+            venues = dict(zip(r.venue_names, r.venue_counts))
+            assert venues[p.modal_venue] == max(venues.values())
+            assert p.modal_venue == modal_venue(venues)
 
     def test_modal_venue_tie_goes_to_larger_name(self, spark):
-        """One vertex, one paper at each of two venues: the Catalyst rule in
-        ``build_profiles`` and ``gammas.modal_venue`` both pick the larger
-        name, whatever the order of the venues."""
+        """One vertex, one paper at each of two venues: ``row_to_profile``
+        sets h_v with ``gammas.modal_venue``, which picks the larger name,
+        whatever the order of the venues."""
         rows = [
             (0, [0, 1], ["n", "m"], "graph kernels", "VB", 2000),
             (1, [0, 1], ["n", "m"], "graph kernels", "VA", 2001),
@@ -63,7 +70,7 @@ class TestProfiles:
         assert sorted(r.vertex_id for r in profiles) == ["m#n", "n#m"]
         for r in profiles:
             assert dict(zip(r.venue_names, r.venue_counts)) == {"VA": 1, "VB": 1}
-            assert r.modal_venue == "VB"
+            assert row_to_profile(r).modal_venue == "VB"
         assert modal_venue({"VA": 1, "VB": 1}) == modal_venue({"VB": 1, "VA": 1}) == "VB"
         assert modal_venue({}) is None
 

@@ -5,12 +5,11 @@ single-feature model and merging should raise recall over the SCN without
 destroying precision — "all similarity functions have influences on the
 performance of IUAD positively".
 """
-import numpy as np
 import pytest
 
 from repro.core.em import fit_em, score_array
-from repro.core.gammas import GAMMA_NAMES
 from repro.eval.metrics import confusion_pandas
+from tests.test_em import one_column
 
 
 @pytest.fixture(scope="module")
@@ -24,12 +23,14 @@ def single_feature_merge(pairs, asg, truth_occ, feat, delta=0.0, seed=0):
     """Merge using only one similarity function, locally."""
     from repro.graph.components import UnionFind
 
-    X = pairs[[feat]].to_numpy()
-    params = fit_em(X, feats=[feat], seed=seed)
-    scores = score_array(X, params, feats=[feat])
+    # The other five columns stay 0: the M-step gives each of them one
+    # capped marginal for both components, so they add nothing to a score.
+    X = one_column(feat, pairs[feat].to_numpy())
+    params = fit_em(X, seed=seed)
+    scores = score_array(X, params)
     uf = UnionFind()
     for v in asg.vertex_id.unique():
-        uf.add(v)
+        uf.find(v)
     for (vi, vj) in pairs.loc[scores >= delta, ["vid_i", "vid_j"]].itertuples(index=False):
         uf.union(vi, vj)
     comp = uf.components()

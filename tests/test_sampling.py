@@ -21,7 +21,6 @@ def stats():
         fb={"kw1": 10, "kw2": 30},
         fh={"V1": 10, "V2": 40},
         word_vectors={"kw1": np.array([1.0, 0.0]), "kw2": np.array([0.0, 1.0])},
-        dim=2,
     )
 
 

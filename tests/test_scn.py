@@ -52,7 +52,7 @@ def reference_scn(papers_pdf: pd.DataFrame, eta: int):
     for x, ps in partners.items():
         uf = UnionFind()
         for p in ps:
-            uf.add(p)
+            uf.find(p)
         for y, z in combinations(sorted(ps), 2):
             if (min(y, z), max(y, z)) in scrs:
                 uf.union(y, z)
