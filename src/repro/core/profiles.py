@@ -5,18 +5,19 @@ counts with their year range, WL label counts and triangle literals.
 What is derived from counts is derived where it is used, by the one rule
 that defines it: ``row_to_profile`` sets h_v with ``gammas.modal_venue``,
 and the γ₁ kernel takes each WL map's norm. The heavy lifting (joins,
-groupBys, WL refinement, triangle listing) is Catalyst dataflow; the
+groupBys, WL refinement, triangle closing) is Catalyst dataflow; the
 result is compact enough to group by name for per-partition pair scoring,
 or to collect per name for incremental judgement.
 
-Dataflow: each paper's keyword list is computed in-row from its title,
-and FB, FH and the word-vector vocabulary (which is FB) come back from one
-corpus count (``repro.text.keywords``). Each occurrence meets its paper's
-venue, year and keyword list in one join on ``paper_id``; one shuffle on
-``vertex_id`` then feeds the venue and keyword aggregates, and the WL and
-triangle features arrive grouped by vertex too, so assembling a profile
-row needs no further shuffle. The same keyword lists feed the word-vector
-co-occurrence count.
+Dataflow: each paper's keyword list comes from one Python pass over the
+titles, and FB, FH and the word-vector vocabulary (which is FB) come back
+from one corpus count (``repro.text.keywords``). Each occurrence meets its
+paper's venue, year and keyword list in one join on ``paper_id``; one
+shuffle on ``vertex_id`` then feeds the venue and keyword aggregates. WL
+and triangle features come from one neighbour exchange
+(``repro.core.wl``), grouped by vertex too, so assembling a profile row
+takes one join and no further aggregation. The same keyword lists feed
+the word-vector co-occurrence count.
 """
 from __future__ import annotations
 
@@ -27,7 +28,7 @@ from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
 from repro.core.gammas import CorpusStats, Profile, modal_venue
-from repro.core.scn import SCN, VSEP
+from repro.core.scn import SCN
 from repro.core.wl import wl_features
 from repro.graph.triangles import vertex_triangles
 from repro.text.embeddings import word_vectors
@@ -96,31 +97,13 @@ def build_profiles(papers: DataFrame, scn: SCN) -> ProfileSet:
         )
     )
 
-    wl = wl_features(scn.edges, scn.assignments.select("vertex_id", "name"))
-
-    # Triangle sets, keyed by the *names* of the other two corners so that
-    # two same-name vertices can share a triangle literal.
-    vt = vertex_triangles(scn.edges)
-    vname = lambda c: F.substring_index(F.col(c), VSEP, 1)  # noqa: E731
-    tri = (
-        vt.select(
-            F.col("node").alias("vertex_id"),
-            F.array_sort(
-                F.filter(
-                    F.array(vname("a"), vname("b"), vname("c")),
-                    lambda x: x != F.substring_index(F.col("node"), VSEP, 1),
-                )
-            ).alias("others"),
-        )
-        .where(F.size("others") == 2)
-        .select("vertex_id", F.concat_ws("|", "others").alias("t"))
-        .groupBy("vertex_id")
-        .agg(F.collect_set("t").alias("tri"))
+    # WL and triangles from one neighbour exchange, both keyed by vertex.
+    graph = vertex_triangles(wl_features(scn.edges)).select(
+        "vertex_id", "wl_labels", "wl_counts", "tri"
     )
 
     prof = (
-        vertex_rows.join(wl, "vertex_id", "left")
-        .join(tri, "vertex_id", "left")
+        vertex_rows.join(graph, "vertex_id", "left")
         .select(
             "name",
             "vertex_id",
@@ -135,7 +118,7 @@ def build_profiles(papers: DataFrame, scn: SCN) -> ProfileSet:
             _empty(F.col("wl_counts"), "array<double>").alias("wl_counts"),
             _empty(F.col("tri"), "array<string>").alias("tri"),
         )
-    ).localCheckpoint(eager=False)  # truncate the WL/triangle join lineage
+    ).localCheckpoint(eager=False)  # truncate the WL/triangle lineage
 
     wv = word_vectors(kw.papers, kw.fb)
     vecs = {k: np.asarray(v) for k, v in zip(wv["keyword"], wv["vec"])}

@@ -7,7 +7,9 @@ GCN construction needs, per name, components over vertices linked by
 score ≥ δ pairs. Both are many small independent graphs keyed by name, so
 the edges are shuffled by name and each partition runs one Python call
 (``mapInPandas``) that keeps one local union–find per name — each partition
-does its own graph work, no global iteration.
+does its own graph work, no global iteration. ``components_per_group`` is
+that call for the GCN; Stage I's pass (``core.scn``) also votes each
+occurrence onto a component, so it runs its own ``UnionFind`` per name.
 """
 from __future__ import annotations
 

@@ -1,7 +1,7 @@
 """Unordered pairs within an array column, generated in-row by a double
-``explode``: the η-SCRs, a name's candidate partner edges, keyword
-co-occurrence and the GCN edges all come from lists held in one row, so a
-pair count is one aggregation and no frame is joined with itself."""
+``explode``: the η-SCRs, keyword co-occurrence and the GCN edges all come
+from lists held in one row, so a pair count is one aggregation and no
+frame is joined with itself."""
 from __future__ import annotations
 
 from pyspark.sql import DataFrame

@@ -1,13 +1,12 @@
-"""Triangle listing over an undirected edge DataFrame.
+"""Triangles through each vertex, closed in-row from neighbour lists.
 
 Used twice by IUAD: (i) the stable-triangle rule during SCN construction is
 a *per-name* local check (handled in ``core.scn``); (ii) the co-author
 clique coincidence ratio γ₂ needs, for every SCN vertex, the set of
-triangles it participates in. This module lists triangles globally in
-adjacency-list form: one shuffle by the smaller endpoint deduplicates the
-edges and gives every vertex the list of its larger neighbours, then one
-join on the neighbour closes each wedge by a list intersection — two
-shuffles, pure Catalyst (broadcast is disabled session-wide).
+triangles it participates in. For (ii) every vertex already holds, from
+the WL exchange (``core.wl.wl_features``), each neighbour's id, name and
+neighbour list: a neighbour's list intersected with the vertex's own list
+gives the third corners, so the triangles need no shuffle of their own.
 """
 from __future__ import annotations
 
@@ -15,46 +14,26 @@ from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
 
-def canonical_edges(edges: DataFrame) -> DataFrame:
-    """Undirected edge list (u, v) with u < v, deduplicated, self-loops
-    dropped, from the edge columns ``u`` and ``v``.
+def vertex_triangles(nb: DataFrame) -> DataFrame:
+    """``nb`` with the column ``tri``: the literals of the vertex's triangles.
 
-    Hash-partitioned by ``u``, so grouping the result by ``u`` needs no
-    further shuffle.
+    ``nb`` holds one row per vertex: its ``name`` and ``got``, one struct
+    (id, name, nbrs) per neighbour. A triangle's literal is the sorted
+    names of its two other corners joined by ``|``, so that two same-name
+    vertices can share one; a triangle with another corner of the vertex's
+    own name has none.
     """
-    a, b = F.col("u"), F.col("v")
-    return (
-        edges.select(F.least(a, b).alias("u"), F.greatest(a, b).alias("v"))
-        .where(F.col("u") != F.col("v"))
-        .repartition("u")
-        .dropDuplicates(["u", "v"])
+    ids = F.col("got.id")
+    name_of = F.map_from_arrays(ids, F.col("got.name"))
+
+    def literal(m, w):
+        others = F.filter(F.array(m["name"], name_of[w]), lambda x: x != F.col("name"))
+        return F.when(F.size(others) == 2, F.concat_ws("|", F.array_sort(others)))
+
+    # Each neighbour m closes a triangle with every w adjacent to both.
+    closed = F.flatten(
+        F.transform(
+            "got", lambda m: F.transform(F.array_intersect(m["nbrs"], ids), lambda w: literal(m, w))
+        )
     )
-
-
-def triangles(edges: DataFrame) -> DataFrame:
-    """All triangles (a < b < c) in the undirected graph.
-
-    Each wedge a → b (b a larger neighbour of a) is joined with b's row of
-    larger neighbours; every c larger than both and adjacent to both
-    closes a triangle, so each triangle is listed once, from its smallest
-    corner.
-    """
-    fwd = canonical_edges(edges).groupBy("u").agg(F.collect_list("v").alias("out"))
-    wedges = fwd.select(
-        F.col("u").alias("a"), F.explode("out").alias("b"), F.col("out").alias("out_a")
-    )
-    return (
-        wedges.join(fwd.select(F.col("u").alias("b"), F.col("out").alias("out_b")), "b")
-        .select("a", "b", F.explode(F.array_intersect("out_a", "out_b")).alias("c"))
-    )
-
-
-def vertex_triangles(edges: DataFrame) -> DataFrame:
-    """One row per (vertex, triangle): columns ``node, a, b, c``.
-
-    γ₂ compares triangle *sets* of two vertices; this exploded form joins
-    directly against vertex ids.
-    """
-    return triangles(edges).select(
-        F.explode(F.array("a", "b", "c")).alias("node"), "a", "b", "c"
-    )
+    return nb.withColumn("tri", F.array_distinct(F.array_compact(closed)))

@@ -1,18 +1,19 @@
-"""Title → keyword extraction: one rule, as a Spark Column and in Python.
+"""Title → keyword extraction: one rule, in Python.
 
 The paper's γ₃/γ₄ use title *keywords*: tokens minus stop words and minus
-the most frequent title words. The batch computes each paper's keyword
-list in-row with ``title_keywords``, and ``FB(b)`` (eq. 7) and ``FH`` from
-one corpus count taken on the way; ``title_tokens`` splits a title the
-same way for the incremental judge and the driver-side baselines.
+the most frequent title words. ``title_tokens`` splits a title for the
+batch, the incremental judge and the driver-side baselines alike. The
+batch tokenises every title in one ``mapInPandas`` pass, takes ``FB(b)``
+(eq. 7) and ``FH`` from one corpus count of the tokens, and drops the
+frequent words from each list in-row. Titles never meet Spark's
+``lower``, whose first call in a JVM builds ICU's case-mapping tables.
 """
 from __future__ import annotations
 
 import dataclasses
 import re
-from typing import Iterable
 
-from pyspark.sql import Column, DataFrame
+from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
 STOPWORDS = (
@@ -23,7 +24,8 @@ STOPWORDS = (
 #: share of the papers above which a title word is dropped as frequent.
 FREQUENT_CUT = 0.02
 
-# Java's \s, which F.split applies; Python's \s also matches NBSP and em space.
+# ASCII whitespace only: Python's \s also matches NBSP and em space, which
+# stay inside a token.
 _SPACE = r"[ \t\n\x0b\f\r]+"
 _STOP = frozenset(STOPWORDS)
 
@@ -42,19 +44,17 @@ class Keywords:
     fh: dict[str, int]
 
 
-def title_keywords(title: Column, drop: Iterable[str]) -> Column:
-    """The distinct lower-cased whitespace tokens of ``title``, without
-    empty tokens and without the words in ``drop``; empty for a null title."""
-    drop = sorted(set(drop))
-    tokens = F.split(F.lower(F.coalesce(title, F.lit(""))), _SPACE)
-    return F.array_distinct(F.filter(tokens, lambda t: (t != "") & ~t.isin(*drop)))
-
-
 def title_tokens(title: str | None) -> list[str]:
     """The lower-cased whitespace tokens of ``title`` that are no stop
-    words, in order and with repeats; empty for ``None``. De-duplicated,
-    they are ``title_keywords(title, STOPWORDS)``."""
+    words, in order and with repeats; empty for ``None``."""
     return [t for t in re.split(_SPACE, (title or "").lower()) if t and t not in _STOP]
+
+
+def _tokenise(batches):
+    """Each paper's distinct ``title_tokens``, in order of first use."""
+    for pdf in batches:
+        toks = [list(dict.fromkeys(title_tokens(t))) for t in pdf["title"]]
+        yield pdf[["paper_id", "venue", "year"]].assign(toks=toks)
 
 
 def keywords(papers: DataFrame, *, top_frequent_cut: float = FREQUENT_CUT) -> Keywords:
@@ -68,14 +68,20 @@ def keywords(papers: DataFrame, *, top_frequent_cut: float = FREQUENT_CUT) -> Ke
     ``top_frequent_cut`` tokens can be that frequent, so the dropped-word
     literal stays small. FB is the document frequency of a kept keyword.
     """
-    toks = papers.select("venue", title_keywords(F.col("title"), STOPWORDS).alias("kws"))
+    # Read by the count, the profile facts and the word vectors: the
+    # Python pass runs once.
+    toks = (
+        papers.select("paper_id", "venue", "year", "title")
+        .mapInPandas(_tokenise, schema="paper_id long, venue string, year int, toks array<string>")
+        .localCheckpoint(eager=False)
+    )
     entry = lambda is_kw, key: F.struct(F.lit(is_kw).alias("is_kw"), key.alias("key"))  # noqa: E731
     counts = (
         toks.select(
             F.explode(
                 F.concat(
                     F.array(entry(False, F.col("venue"))),
-                    F.transform("kws", lambda t: entry(True, t)),
+                    F.transform("toks", lambda t: entry(True, t)),
                 )
             ).alias("e")
         )
@@ -87,7 +93,6 @@ def keywords(papers: DataFrame, *, top_frequent_cut: float = FREQUENT_CUT) -> Ke
     doc_freq = {r["key"]: r["count"] for r in counts if r["is_kw"]}
     cut = top_frequent_cut * sum(fh.values())
     fb = {w: n for w, n in doc_freq.items() if n <= cut}
-    kws = title_keywords(F.col("title"), [*STOPWORDS, *(w for w in doc_freq if w not in fb)])
-    return Keywords(
-        papers=papers.select("paper_id", "venue", "year", kws.alias("kws")), fb=fb, fh=fh
-    )
+    frequent = F.array(*map(F.lit, sorted(doc_freq.keys() - fb.keys()))).cast("array<string>")
+    kws = F.array_except("toks", frequent)
+    return Keywords(papers=toks.select("paper_id", "venue", "year", kws.alias("kws")), fb=fb, fh=fh)

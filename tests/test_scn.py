@@ -7,11 +7,12 @@ reference SCN compared against the Spark build on the full test corpus.
 from collections import Counter, defaultdict
 from itertools import combinations
 
+import numpy as np
 import pandas as pd
 import pytest
 from pyspark.sql import functions as F
 
-from repro.core.scn import SSEP, VSEP, build_scn, mine_scrs, partner_components
+from repro.core.scn import SSEP, VSEP, build_scn, mine_scrs
 from repro.graph.components import UnionFind
 
 from .oracle import assert_equivalent
@@ -121,17 +122,22 @@ class TestMineScrs:
 class TestRunningExample:
     """Fig. 4: SCRs (a,b),(a,c),(a,d),(b,e),(c,d),(b,c)."""
 
-    def test_partner_components(self, spark, tiny_papers):
-        scrs = mine_scrs(tiny_papers, eta=2)
-        pc = partner_components(scrs).toPandas()
-        comp_of = {
-            (r.name, r.partner): r.component for r in pc.itertuples(index=False)
-        }
+    def test_partner_components(self, spark, tiny_papers_pdf, tiny_papers):
+        """Each occurrence lands on its name's partner component, labelled
+        by the component's smallest partner."""
+        scn = build_scn(tiny_papers, eta=2)
+        got = {(r.paper_id, r.name): r.vertex_id for r in scn.assignments.collect()}
         # a's partners b, c, d are one component: (b,c) and (c,d) are SCRs.
-        assert comp_of[("a", "b")] == comp_of[("a", "c")] == comp_of[("a", "d")]
         # b's partners a, c connect ((a,c) is an SCR); e stays separate.
-        assert comp_of[("b", "a")] == comp_of[("b", "c")]
-        assert comp_of[("b", "e")] != comp_of[("b", "a")]
+        # c's partners a, b, d connect through a; d's a, c; e's is b alone.
+        one = {"a": "a#b", "c": "c#a", "d": "d#a", "e": "e#b"}
+        for pid, names in tiny_papers_pdf[["paper_id", "names"]].itertuples(index=False):
+            for x in names:
+                if x == "b":
+                    want = "b#e" if "e" in names else "b#a"
+                else:
+                    want = one.get(x, f"{x}{SSEP}{pid}")
+                assert got[(pid, x)] == want, (pid, x)
 
     def test_two_vertices_named_b(self, spark, tiny_papers):
         scn = build_scn(tiny_papers, eta=2)
@@ -151,7 +157,8 @@ class TestRunningExample:
         scn = build_scn(tiny_papers, eta=2)
         rows = scn.assignments.where("name in ('z', 'q')").toPandas()
         assert (~rows.stable).all()
-        assert rows.vertex_id.str.contains(SSEP, regex=False).all()
+        # name@<integer paper id>: no float formatting of the id.
+        assert (rows.vertex_id == rows.name + SSEP + rows.paper_id.astype(str)).all()
 
     def test_edges_connect_correct_vertices(self, spark, tiny_papers):
         scn = build_scn(tiny_papers, eta=2)
@@ -161,6 +168,36 @@ class TestRunningExample:
         be = [e for e in edges if e[0].startswith("b" + VSEP) and e[1].startswith("e" + VSEP)]
         assert len(be) == 1
         assert be[0][0] == f"b{VSEP}e"
+
+
+@pytest.mark.spark
+class TestScnLayout:
+    @pytest.mark.parametrize("n", [1, 64])
+    def test_partition_count(self, spark, shuffle_partitions, n):
+        """All names in one partition, or more partitions than names: every
+        occurrence gets the reference vertex. Names with an apostrophe or a
+        non-ASCII letter order the component labels; paper ids beyond
+        2**53 would not survive a float."""
+        rng = np.random.default_rng(3)
+        pool = ["a", "b", "o'brien", "o'neil", "ñandú", "Åsa", "zoë", "Zoe", "名前", "c"]
+        pool += [f"r{i}" for i in range(6)]
+        pdf = pd.DataFrame(
+            {
+                "paper_id": [2**53 + 1 + i for i in range(80)],
+                "names": [
+                    [str(x) for x in rng.choice(pool, rng.integers(2, 5), replace=False)]
+                    for _ in range(80)
+                ],
+            }
+        )
+        shuffle_partitions(n)
+        scn = build_scn(spark.createDataFrame(pdf, "paper_id long, names array<string>"), eta=3)
+        got = {
+            (r.paper_id, r.name): r.vertex_id for r in scn.assignments.collect()
+        }
+        _, ref_assign = reference_scn(pdf, eta=3)
+        assert got == ref_assign
+        assert any(SSEP in v for v in got.values()) and any(VSEP in v for v in got.values())
 
 
 @pytest.mark.spark
