@@ -164,6 +164,8 @@ def fit_em(X: np.ndarray, *, seed: int = 0) -> EMParams:
     feature with its ``DEFAULT_DISTS`` family. Returns fitted parameters
     with the matched component oriented as the *higher-similarity* one."""
     X = np.asarray(X, dtype=float)
+    if not len(X):
+        raise ValueError("EM needs at least one γ vector: no two vertices share a name")
     r = _init_responsibilities(X, seed)
     params = _mstep(X, r)
     trace: list[float] = []

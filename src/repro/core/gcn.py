@@ -2,22 +2,24 @@
 
 Score every same-name vertex pair with the fitted generative model
 (eq. 11), merge pairs whose score clears the decision threshold δ
-(transitively, per name, via the grouped union–find), re-key every paper
-occurrence to its merged vertex, and recover the collaborative relations
-from the co-author lists (Algorithm 1, lines 11–16): each paper's list of
+(transitively: one union–find per name in the per-name pass,
+``graph.components.per_name``), re-key every paper occurrence to its
+merged vertex, and recover the collaborative relations from the
+co-author lists (Algorithm 1, lines 11–16): each paper's list of
 final vertices gives its edges in-row (``repro.graph.pairs``).
 """
 from __future__ import annotations
 
 import dataclasses
 
+import numpy as np
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 from pyspark.sql.types import DoubleType, StructField, StructType
 
 from repro.core.em import EMParams, score_array
 from repro.core.gammas import GAMMA_NAMES
-from repro.graph.components import components_per_group
+from repro.graph.components import UnionFind, per_name
 from repro.graph.pairs import pair_counts
 
 
@@ -52,14 +54,9 @@ def build_gcn(
 ) -> GCN:
     """Merge and re-key the SCN into the GCN: union–find per name over the
     score ≥ δ pairs, then every occurrence takes its vertex's merged id."""
-    hits = pairs_scored.where(F.col("score") >= delta).select(
-        "name", F.col("vid_i").alias("u"), F.col("vid_j").alias("v")
-    )
-    mapping = (
-        components_per_group(hits)
-        .select("name", F.col("node").alias("vertex_id"), F.col("component").alias("gcn_vertex"))
-        .localCheckpoint(eager=False)
-    )
+    hits = pairs_scored.where(F.col("score") >= delta).select("name", "vid_i", "vid_j")
+    schema = "name string, vertex_id string, gcn_vertex string"
+    mapping = per_name(hits, _merge, schema).localCheckpoint(eager=False)
     assignments = (
         scn_assignments.join(mapping, ["name", "vertex_id"], "left")
         .select(
@@ -75,3 +72,13 @@ def build_gcn(
     lists = assignments.groupBy("paper_id").agg(F.collect_list("gcn_vertex").alias("vs"))
     edges = pair_counts(lists, "vs", "u", "v")
     return GCN(mapping=mapping, assignments=assignments, edges=edges)
+
+
+def _merge(name, pairs):
+    """One name's merged vertices, each with its component's smallest id."""
+    uf = UnionFind()
+    for u, v in zip(pairs["vid_i"], pairs["vid_j"]):
+        uf.union(u, v)
+    comp = uf.components()
+    return {"vertex_id": np.array(list(comp), object),
+            "gcn_vertex": np.array(list(comp.values()), object)}

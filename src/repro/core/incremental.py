@@ -19,6 +19,7 @@ import numpy as np
 from repro.core.em import EMParams, score_array
 from repro.core.gammas import CorpusStats, Profile, gamma_block, modal_venue
 from repro.core.profiles import row_to_profile
+from repro.core.scn import SSEP, VSEP
 from repro.text.keywords import title_tokens
 
 
@@ -29,6 +30,8 @@ def profile_for_paper(paper: Mapping, name: str, stats: CorpusStats) -> Profile:
         raise ValueError(f"paper {pid!r} has an empty co-author list")
     if len(set(names)) < len(names):
         raise ValueError(f"paper {pid!r} has a name twice in its co-author list")
+    if any(VSEP in n or SSEP in n for n in names):
+        raise ValueError(f"paper {pid!r} has a name holding {VSEP} or {SSEP}")
     for field in ("year", "venue"):
         if paper[field] is None:
             raise ValueError(f"paper {pid!r} has no {field}")

@@ -11,7 +11,7 @@ from repro.core.em import EMParams, fit_em
 from repro.core.gcn import GCN, build_gcn, score_pairs
 from repro.core.profiles import ProfileSet, build_profiles, row_to_profile
 from repro.core.sampling import MIN_PAPERS, sample_pairs, synthetic_matched_gammas
-from repro.core.scn import SCN, build_scn
+from repro.core.scn import SCN, SSEP, VSEP, build_scn
 from repro.core.similarity import pair_similarities
 
 #: η, the co-occurrence support of a stable collaboration relation. η = 5
@@ -50,7 +50,8 @@ def run_iuad(
     (every pair if that would be under 200), drawn by pair hash and topped
     up with split-vertex matched pairs against class imbalance (V-F.2);
     ``delta`` is the decision threshold on the log posterior-odds score.
-    A paper with an empty or repeating co-author list, or without a year or
+    A paper with an empty or repeating co-author list, a name holding a
+    vertex id separator (``scn.VSEP``, ``scn.SSEP``), or without a year or
     venue, fails the run when it is first read.
     """
     papers = _checked(papers)
@@ -93,6 +94,7 @@ def _checked(papers: DataFrame) -> DataFrame:
     problem = (
         F.when(names.isNull() | (F.size(names) == 0), "an empty co-author list")
         .when(F.size(F.array_distinct(names)) < F.size(names), "a name twice in its co-author list")
+        .when(F.array_join(names, "").rlike(f"[{VSEP}{SSEP}]"), f"a name holding {VSEP} or {SSEP}")
         .when(F.col("year").isNull(), "no year")
         .when(F.col("venue").isNull(), "no venue")
     )

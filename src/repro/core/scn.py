@@ -13,25 +13,25 @@ Dataflow:
 
 * name pairs are generated in-row from each co-author list
   (``repro.graph.pairs``), so SCR mining is a single aggregation;
-* one shuffle groups the SCRs into each name's partner list, and one
-  more brings each name its partners' lists and its occurrences with
-  their co-author lists: one ``mapInPandas`` call per partition then runs
-  each name's partner union–find (two partners are linked when one's list
-  holds the other) and votes every occurrence onto a component in Python
-  (``_stage_one``), singletons included. It also lists the partners of
-  every component that received an occurrence, which is all the SCN edges
-  need.
+* one shuffle groups the SCRs into each name's partner list, and the
+  per-name pass (``graph.components.per_name``) brings each name its
+  partners' lists and its occurrences with their co-author lists;
+  ``_stage_one`` then runs the name's partner union–find (two partners are
+  linked when one's list holds the other) and votes every occurrence onto
+  a component in Python, singletons included. It also lists the partners
+  of every component that received an occurrence, which is all the SCN
+  edges need.
 """
 from __future__ import annotations
 
 import dataclasses
-from collections import Counter, defaultdict
+from collections import Counter
 
 import numpy as np
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
-from repro.graph.components import UnionFind, in_chunks
+from repro.graph.components import UnionFind, per_name
 from repro.graph.pairs import pair_counts
 
 #: separator between a name and its component label in an SCR vertex id.
@@ -77,14 +77,13 @@ def vertex_name(vertex_id):
     return F.substring_index(vertex_id, VSEP, 1)
 
 
-def _stage_one(batches):
-    """Per name: the partner union–find and the vote of every occurrence.
+def _stage_one(name, rows):
+    """One name's partner union–find and the vote of each of its occurrences.
 
-    Input rows hold a name and one of: the partner list ``items`` of one
-    of its SCR partners ``partner``, or an occurrence (``pid``, co-author
-    list ``items``). A name's rows share a partition, so the whole partition is
-    read before any name is decided. Every name with partners has
-    occurrences: its SCRs come from them.
+    Each row holds one of: the partner list ``items`` of one of the name's
+    SCR partners ``partner``, or an occurrence (``pid``, co-author list
+    ``items``). Every name with partners has occurrences: its SCRs come
+    from them.
 
     The partners of a name are the names that sent it their lists; two of
     them are linked when one's list holds the other (an SCR). Component =
@@ -93,38 +92,33 @@ def _stage_one(batches):
     co-authors among the partners (ties: the largest label), or to a
     singleton if none of its co-authors is a partner.
     """
-    lists: defaultdict[str, list] = defaultdict(list)
-    occurrences: defaultdict[str, list] = defaultdict(list)
-    for pdf in batches:
-        cols = (pdf[c] for c in ("name", "partner", "pid", "items"))
-        for name, partner, pid, items in zip(*cols):
-            if pid is not None:
-                occurrences[name].append((pid, items))
-            else:
-                lists[name].append((partner, items))
-    for name, occ in occurrences.items():
-        uf = UnionFind()
-        partners = {u for u, _ in lists[name]}
-        for u, theirs in lists[name]:
-            uf.find(u)
-            for w in theirs:
-                if w in partners:
-                    uf.union(u, w)
-        comp = uf.components()
-        rows, won = [], set()
-        for pid, coauthors in occ:
-            votes = Counter(comp[y] for y in coauthors if y in comp)
-            if votes:
-                top = max(votes.items(), key=lambda kv: (kv[1], kv[0]))[0]
-                won.add(top)
-                rows.append((f"{name}{VSEP}{top}", pid, True, None))
-            else:
-                rows.append((f"{name}{SSEP}{pid}", pid, False, None))
-        # The vote can leave a component paperless (every paper backing its
-        # SCRs voted for a larger one); only components with papers are
-        # vertices, so only their partners can end an SCN edge.
-        rows += [(f"{name}{VSEP}{root}", None, True, p) for p, root in comp.items() if root in won]
-        yield np.full(len(rows), name, object), *(np.array(c, dtype=object) for c in zip(*rows))
+    uf = UnionFind()
+    sent = [(u, theirs) for u, pid, theirs in zip(rows["partner"], rows["pid"], rows["items"])
+            if pid is None]
+    partners = {u for u, _ in sent}
+    for u, theirs in sent:
+        uf.find(u)
+        for w in theirs:
+            if w in partners:
+                uf.union(u, w)
+    comp = uf.components()
+    out, won = [], set()
+    for pid, coauthors in zip(rows["pid"], rows["items"]):
+        if pid is None:
+            continue
+        votes = Counter(comp[y] for y in coauthors if y in comp)
+        if votes:
+            top = max(votes.items(), key=lambda kv: (kv[1], kv[0]))[0]
+            won.add(top)
+            out.append((f"{name}{VSEP}{top}", pid, True, None))
+        else:
+            out.append((f"{name}{SSEP}{pid}", pid, False, None))
+    # The vote can leave a component paperless (every paper backing its
+    # SCRs voted for a larger one); only components with papers are
+    # vertices, so only their partners can end an SCN edge.
+    out += [(f"{name}{VSEP}{root}", None, True, p) for p, root in comp.items() if root in won]
+    columns = (np.array(c, object) for c in zip(*out))
+    return dict(zip(("vertex_id", "pid", "stable", "partner"), columns))
 
 
 def build_scn(papers: DataFrame, *, eta: int) -> SCN:
@@ -150,14 +144,7 @@ def build_scn(papers: DataFrame, *, eta: int) -> SCN:
     # Read by the assignments and by the edges below: materialised once.
     # Under AQE localCheckpoint runs every upstream shuffle stage now,
     # eager or not; only the final stage waits for the first reader.
-    out = (
-        rows.repartition("name")
-        .mapInPandas(
-            lambda b: in_chunks(_stage_one(b), ["name", "vertex_id", "pid", "stable", "partner"]),
-            schema=_OUT,
-        )
-        .localCheckpoint(eager=False)
-    )
+    out = per_name(rows, _stage_one, _OUT).localCheckpoint(eager=False)
     assignments = out.where(F.col("pid").isNotNull()).select(
         F.col("pid").cast("long").alias("paper_id"), "name", "vertex_id", "stable"
     )

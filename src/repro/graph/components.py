@@ -1,20 +1,15 @@
-"""Connected components, grouped by a partition key.
+"""The per-name pass and its union–find.
 
-SCN construction needs, *per name*, the connected components of that name's
-"partner graph" (nodes = SCR partners of the name, edges = SCRs among those
-partners — the paper's stable-triangle insertion rule applied transitively).
-GCN construction needs, per name, components over vertices linked by
-score ≥ δ pairs. Both are many small independent graphs keyed by name, so
-the edges are shuffled by name and each partition runs one Python call
-(``mapInPandas``) that keeps one local union–find per name — each partition
-does its own graph work, no global iteration. ``components_per_group`` is
-that call for the GCN; Stage I's pass (``core.scn``) also votes each
-occurrence onto a component, so it runs its own ``UnionFind`` per name.
+IUAD's local work is keyed by name: Stage I's partner components
+(``core.scn``), the same-name γ pairs (``core.similarity``) and the
+δ-merge (``core.gcn``). ``per_name`` is the one pass they share: a shuffle
+by name and one Python call (``mapInPandas``) per partition that hands each
+name's rows to the stage's function, with no global iteration.
+``UnionFind`` serves Stage I's partners and the δ-merge.
 """
 from __future__ import annotations
 
-from collections import defaultdict
-from typing import Hashable, Iterable, Iterator, Sequence
+from typing import Callable, Hashable, Iterable, Iterator
 
 import numpy as np
 import pandas as pd
@@ -50,56 +45,66 @@ class UnionFind:
         return {x: self.find(x) for x in self._parent}
 
 
-#: Rows per output frame of a per-partition call; a frame holds whole
-#: names, so one may hold more.
+#: Rows per output frame of ``per_name``; a frame holds whole names, so
+#: one may hold more.
 CHUNK_ROWS = 10_000
 
 
-def in_chunks(
-    parts: Iterable[Sequence[np.ndarray]], columns: Sequence[str]
-) -> Iterator[pd.DataFrame]:
-    """Frames of at least CHUNK_ROWS rows (the last may hold fewer) from
-    per-name parts, each one equal-length array per column; no frame for
-    no parts."""
-    chunk, rows = [], 0
-    for part in parts:
-        chunk.append(part)
-        rows += len(part[0])
-        if rows >= CHUNK_ROWS:
-            yield _frame(chunk, columns)
-            chunk, rows = [], 0
-    if chunk:
-        yield _frame(chunk, columns)
+def per_name(
+    df: DataFrame, fn: Callable[[str, dict], dict | None], schema: str, *order: str
+) -> DataFrame:
+    """``fn(name, rows)`` once per name of ``df``, in one Python call per
+    partition.
 
-
-def _frame(chunk: list[Sequence[np.ndarray]], columns: Sequence[str]) -> pd.DataFrame:
-    return pd.DataFrame({c: np.concatenate(col) for c, col in zip(columns, zip(*chunk))})
-
-
-def components_per_group(edges: DataFrame) -> DataFrame:
-    """Per-name connected components of string-labelled graphs.
-
-    ``edges`` (name, u, v): one row per undirected edge within a name's
-    graph. Returns one row per (name, node) with the node's component
-    representative — the lexicographically smallest node label in the
-    component, so output is deterministic and independent of partitioning.
+    The rows are shuffled by name and sorted within each partition by
+    (name, *order); ``rows`` maps each column to a numpy array of the
+    name's values in that order, gathered across Arrow batches. ``fn``
+    returns the output columns after ``name`` (the rest of ``schema``, in
+    order), or None for no rows; ``per_name`` puts the name first. Frames
+    hold whole names, at least ``CHUNK_ROWS`` rows each (the last may hold
+    fewer).
     """
 
-    def _cc(batches):
-        ufs: defaultdict[str, UnionFind] = defaultdict(UnionFind)
-        for pdf in batches:
-            for name, u, v in zip(pdf["name"], pdf["u"], pdf["v"]):
-                ufs[name].union(u, v)
-        for name, uf in ufs.items():
-            comp = uf.components()
-            nodes, roots = (np.fromiter(it, object, len(comp)) for it in (comp, comp.values()))
-            yield np.full(len(comp), name, object), nodes, roots
+    def run(batches: Iterable[pd.DataFrame]) -> Iterator[pd.DataFrame]:
+        return _in_chunks((name, fn(name, rows)) for name, rows in _by_name(batches))
 
-    return (
-        edges.select("name", "u", "v")
-        .repartition("name")
-        .mapInPandas(
-            lambda batches: in_chunks(_cc(batches), ["name", "node", "component"]),
-            schema="name string, node string, component string",
-        )
-    )
+    return df.repartition("name").sortWithinPartitions("name", *order).mapInPandas(run, schema)
+
+
+def _by_name(batches: Iterable[pd.DataFrame]) -> Iterator[tuple[str, dict]]:
+    """(name, rows) of name-sorted batches; a name whose rows span batches
+    is gathered from its pieces once, after its last piece."""
+    name, pieces = None, []
+    for pdf in filter(len, batches):
+        cols = {c: pdf[c].to_numpy() for c in pdf.columns}
+        names = cols["name"]
+        cuts = [0, *(np.flatnonzero(names[1:] != names[:-1]) + 1), len(names)]
+        for lo, hi in zip(cuts, cuts[1:]):
+            if pieces and names[lo] != name:
+                yield name, _concat(pieces)
+                pieces = []
+            name = names[lo]
+            pieces.append({c: v[lo:hi] for c, v in cols.items()})
+    if pieces:
+        yield name, _concat(pieces)
+
+
+def _concat(parts: list[dict]) -> dict:
+    if len(parts) == 1:
+        return parts[0]
+    return {c: np.concatenate([p[c] for p in parts]) for c in parts[0]}
+
+
+def _in_chunks(parts: Iterable[tuple[str, dict | None]]) -> Iterator[pd.DataFrame]:
+    chunk, rows = [], 0
+    for name, part in parts:
+        if part is None:
+            continue
+        n = len(next(iter(part.values())))
+        chunk.append({"name": np.full(n, name, object), **part})
+        rows += n
+        if rows >= CHUNK_ROWS:
+            yield pd.DataFrame(_concat(chunk))
+            chunk, rows = [], 0
+    if chunk:
+        yield pd.DataFrame(_concat(chunk))

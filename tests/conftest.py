@@ -89,6 +89,15 @@ def shuffle_partitions(spark):
         spark.conf.set(k, v)
 
 
+@pytest.fixture
+def arrow_batch_rows(spark):
+    """Sets the rows per Arrow batch handed to Python; restored afterwards."""
+    key = "spark.sql.execution.arrow.maxRecordsPerBatch"
+    before = spark.conf.get(key)
+    yield lambda n: spark.conf.set(key, str(n))
+    spark.conf.set(key, before)
+
+
 @pytest.fixture(scope="session")
 def tiny_papers_pdf() -> pd.DataFrame:
     """Hand-written corpus implementing the paper's Fig. 4 running example:

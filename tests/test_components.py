@@ -1,11 +1,12 @@
-"""Union–find and grouped connected components (local + Spark)."""
+"""Union–find and the per-name pass (local + Spark). The δ-merge's
+grouped components are checked in test_gcn.py."""
 import numpy as np
 import pandas as pd
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.graph.components import UnionFind, components_per_group
+from repro.graph.components import UnionFind, _by_name, per_name
 
 
 def local_components(edges, nodes=()) -> dict:
@@ -80,61 +81,49 @@ class TestLocalComponents:
         assert comp["c"] == "a" and comp["e"] == "d"
 
 
+class TestByName:
+    def test_names_span_batches(self):
+        """A name's pieces from several batches, empty batches among them,
+        arrive as one set of rows in batch order."""
+        batches = [
+            pd.DataFrame({"name": ["a", "b", "b"], "k": [0, 1, 2]}),
+            pd.DataFrame({"name": [], "k": []}),
+            pd.DataFrame({"name": ["b", "b"], "k": [3, 4]}),
+            pd.DataFrame({"name": ["b", "c"], "k": [5, 6]}),
+            pd.DataFrame({"name": ["d"], "k": [7]}),
+        ]
+        got = [(name, rows["k"].tolist()) for name, rows in _by_name(batches)]
+        assert got == [("a", [0]), ("b", [1, 2, 3, 4, 5]), ("c", [6]), ("d", [7])]
+
+    def test_no_batches(self):
+        assert list(_by_name([])) == []
+
+
 @pytest.mark.spark
-class TestComponentsPerGroup:
-    def test_two_groups_independent(self, spark):
-        edges = spark.createDataFrame(
-            pd.DataFrame(
-                {
-                    "name": ["n1", "n1", "n2"],
-                    "u": ["a", "b", "a"],
-                    "v": ["b", "c", "z"],
-                }
-            )
-        )
-        out = components_per_group(edges).toPandas()
-        got = {(r.name, r.node): r.component for r in out.itertuples(index=False)}
-        assert got == {
-            ("n1", "a"): "a", ("n1", "b"): "a", ("n1", "c"): "a",
-            ("n2", "a"): "a", ("n2", "z"): "a",
+class TestPerName:
+    def test_one_call_per_name(self, spark, shuffle_partitions, arrow_batch_rows):
+        """One name over many 3-row batches, 64 partitions for six names
+        (most of them empty), and names ``fn`` drops: every other name gets
+        one call with all its rows in (name, k) order."""
+        rng = np.random.default_rng(2)
+        rows = [("big", int(k)) for k in rng.permutation(40)]
+        rows += [(f"n{i}'ñ", int(k)) for i in range(3) for k in rng.permutation(i + 1)]
+        rows += [("skip", 1), ("skip", 0), ("skip2", 5)]
+        pdf = pd.DataFrame(rows, columns=["name", "k"]).sample(frac=1, random_state=0)
+
+        def fn(name, rows):
+            if name.startswith("skip"):
+                return None
+            return {"ks": np.array([" ".join(map(str, rows["k"]))], object)}
+
+        shuffle_partitions(64)
+        arrow_batch_rows(3)
+        df = spark.createDataFrame(pdf, "name string, k long")
+        out = per_name(df, fn, "name string, ks string", "k").toPandas()
+        want = {
+            name: " ".join(map(str, sorted(grp.k)))
+            for name, grp in pdf.groupby("name")
+            if not name.startswith("skip")
         }
-
-    def test_matches_local_on_random_graphs(self, spark):
-        rng = np.random.default_rng(0)
-        rows = []
-        for gname in ["g1", "g2", "g3"]:
-            for _ in range(40):
-                rows.append((gname, f"v{rng.integers(12)}", f"v{rng.integers(12)}"))
-        pdf = pd.DataFrame(rows, columns=["name", "u", "v"])
-        out = components_per_group(spark.createDataFrame(pdf)).toPandas()
-        for gname, grp in pdf.groupby("name"):
-            expected = local_components(list(zip(grp.u, grp.v)))
-            got = {
-                r.node: r.component
-                for r in out[out.name == gname].itertuples(index=False)
-            }
-            assert got == expected
-
-    @pytest.mark.parametrize("n", [1, 64])
-    def test_partition_count(self, spark, shuffle_partitions, n):
-        """All names in one partition, or more partitions than names (most
-        of them empty): each name's components are its local union–find's.
-        The names share node labels, some with an apostrophe or non-ASCII
-        letters, whose order decides the component labels."""
-        rng = np.random.default_rng(1)
-        labels = ["a", "b", "o'brien", "o'neil", "b'", "ñandú", "Åsa", "zoë", "Zoe", "c"]
-        rows = []
-        for gname in ["n1", "n2", "o'hara", "Łukasz", "名前"]:
-            for _ in range(12):
-                rows.append((gname, *rng.choice(labels, 2)))
-        pdf = pd.DataFrame(rows, columns=["name", "u", "v"])
-        shuffle_partitions(n)
-        out = components_per_group(spark.createDataFrame(pdf)).toPandas()
-        assert len(out) == len(out[["name", "node"]].drop_duplicates())
-        for gname, grp in pdf.groupby("name"):
-            expected = local_components(list(zip(grp.u, grp.v)))
-            got = {
-                r.node: r.component
-                for r in out[out.name == gname].itertuples(index=False)
-            }
-            assert got == expected, gname
+        assert len(out) == len(want)
+        assert dict(zip(out.name, out.ks)) == want

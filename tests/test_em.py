@@ -224,3 +224,7 @@ class TestDefaults:
         r = np.zeros(2)
         params = _mstep(X, r)
         assert np.isfinite(params.features[GAUSS].matched["mu"])
+
+    def test_empty_sample_fails_loudly(self):
+        with pytest.raises(ValueError, match="no two vertices share a name"):
+            fit_em(np.empty((0, len(GAMMA_NAMES))))

@@ -8,6 +8,7 @@ from repro.core.gcn import build_gcn, score_pairs
 from repro.core.gammas import GAMMA_NAMES
 
 from .oracle import assert_equivalent
+from .test_components import local_components
 
 
 def pairs_pdf(rows):
@@ -68,6 +69,67 @@ class TestMergeMapping:
         )
         assert m.empty
         assert got == {"n#a": "n#a", "n#b": "n#b"}
+
+    def test_two_groups_independent(self, spark):
+        got = merged_components(spark, [("n1", "a", "b"), ("n1", "b", "c"), ("n2", "a", "z")])
+        assert got == {
+            ("n1", "a"): "a", ("n1", "b"): "a", ("n1", "c"): "a",
+            ("n2", "a"): "a", ("n2", "z"): "a",
+        }
+
+    def test_matches_local_on_random_graphs(self, spark):
+        rng = np.random.default_rng(0)
+        edges = [
+            (gname, f"v{rng.integers(12)}", f"v{rng.integers(12)}")
+            for gname in ["g1", "g2", "g3"]
+            for _ in range(40)
+        ]
+        assert merged_components(spark, edges) == local_components_per_name(edges)
+
+    @pytest.mark.parametrize("n", [1, 64])
+    def test_partition_count(self, spark, shuffle_partitions, n):
+        """All names in one partition, or more partitions than names (most
+        of them empty): each name's components are its local union–find's.
+        The names share vertex labels, some with an apostrophe or non-ASCII
+        letters, whose order decides the component labels."""
+        rng = np.random.default_rng(1)
+        labels = ["a", "b", "o'brien", "o'neil", "b'", "ñandú", "Åsa", "zoë", "Zoe", "c"]
+        edges = [
+            (gname, *map(str, rng.choice(labels, 2)))
+            for gname in ["n1", "n2", "o'hara", "Łukasz", "名前"]
+            for _ in range(12)
+        ]
+        shuffle_partitions(n)
+        assert merged_components(spark, edges) == local_components_per_name(edges)
+
+    def test_names_span_arrow_batches(self, spark, model, arrow_batch_rows):
+        """At 3 rows per Arrow batch the merge maps every vertex as at the
+        default batch size."""
+        key = ["name", "vertex_id"]
+        want = model.gcn.mapping.toPandas().sort_values(key, ignore_index=True)
+        arrow_batch_rows(3)
+        gcn = build_gcn(model.scn.assignments, model.pairs, delta=model.delta)
+        got = gcn.mapping.toPandas().sort_values(key, ignore_index=True)
+        assert len(want) > 100
+        pd.testing.assert_frame_equal(got, want)
+
+
+def merged_components(spark, edges):
+    """``build_gcn``'s mapping of (name, u, v) pairs that all clear δ, as
+    {(name, vertex_id): gcn_vertex}; one row per merged vertex."""
+    vertices = sorted({(name, x) for name, u, v in edges for x in (u, v)})
+    m, _ = merge(spark, [(*e, 1.0) for e in edges], vertices, 0.0)
+    assert len(m) == len(m[["name", "vertex_id"]].drop_duplicates())
+    return {(r.name, r.vertex_id): r.gcn_vertex for r in m.itertuples(index=False)}
+
+
+def local_components_per_name(edges):
+    """The same, from one local union–find per name."""
+    return {
+        (name, node): root
+        for name in {e[0] for e in edges}
+        for node, root in local_components([(u, v) for n, u, v in edges if n == name]).items()
+    }
 
 
 @pytest.mark.spark

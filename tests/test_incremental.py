@@ -86,8 +86,9 @@ bad_papers = pytest.mark.parametrize(
         ({"names": ["n", "x", "n"]}, "name twice"),
         ({"year": None}, "no year"),
         ({"venue": None}, "no venue"),
+        ({"names": ["n", "x#y"]}, "name holding # or @"),
     ],
-    ids=["empty_names", "repeated_name", "no_year", "no_venue"],
+    ids=["empty_names", "repeated_name", "no_year", "no_venue", "vertex_id_separator"],
 )
 
 

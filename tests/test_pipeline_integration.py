@@ -115,6 +115,14 @@ class TestBadPaper:
         with pytest.raises(Exception, match=message):
             run_iuad(spark, papers, eta=2, delta=0.0, seed=0)
 
+    def test_no_same_name_pair(self, spark, tiny_papers_pdf):
+        """Five papers by [a, b] at η = 5: one vertex per name, so EM has no
+        pair to train on and says so."""
+        pdf = tiny_papers_pdf.iloc[:5].assign(names=[["a", "b"]] * 5)
+        papers = spark.createDataFrame(pdf, schema=PAPER_SCHEMA)
+        with pytest.raises(ValueError, match="no two vertices share a name"):
+            run_iuad(spark, papers, eta=5, delta=0.0, seed=0)
+
     def test_raises_from_a_task(self, spark, tiny_papers_pdf):
         """A frame made from pandas rows with Arrow on is a local relation:
         the optimizer evaluates the check over its rows, so the cases above

@@ -15,6 +15,7 @@ from pyspark.sql import functions as F
 from repro.core.scn import SSEP, VSEP, build_scn, mine_scrs
 from repro.graph.components import UnionFind
 
+from .conftest import ETA
 from .oracle import assert_equivalent
 
 
@@ -198,6 +199,20 @@ class TestScnLayout:
         _, ref_assign = reference_scn(pdf, eta=3)
         assert got == ref_assign
         assert any(SSEP in v for v in got.values()) and any(VSEP in v for v in got.values())
+
+    def test_names_span_arrow_batches(self, spark, papers_df, scn, arrow_batch_rows):
+        """At 3 rows per Arrow batch, so that most names span batches, the
+        SCN equals the one built at the default batch size."""
+        def frames(s):
+            return [
+                df.toPandas().sort_values(list(df.columns), ignore_index=True)
+                for df in (s.assignments, s.edges)
+            ]
+
+        want = frames(scn)
+        arrow_batch_rows(3)
+        for got, exp in zip(frames(build_scn(papers_df, eta=ETA)), want):
+            pd.testing.assert_frame_equal(got, exp)
 
 
 @pytest.mark.spark

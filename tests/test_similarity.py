@@ -112,3 +112,16 @@ class TestPairSimilarities:
         assert_same_pairs_per_name(got, ref)
         if n == 1:
             assert got.name.tolist() == ref.name.tolist()
+
+    def test_names_span_arrow_batches(self, spark, profile_set, arrow_batch_rows):
+        """At 3 rows per Arrow batch, so that most names span batches, the
+        pairs and their order equal those at the default batch size. The
+        profiles are copied into a fresh frame, so that neither run reads
+        back a cached plan."""
+        prof = profile_set.profiles
+        src = spark.createDataFrame(prof.collect(), prof.schema)
+        want = pair_similarities(src, profile_set.stats).toPandas()
+        arrow_batch_rows(3)
+        got = pair_similarities(src, profile_set.stats).toPandas()
+        assert len(want) > 1000
+        pd.testing.assert_frame_equal(got, want)
