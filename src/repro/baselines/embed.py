@@ -74,12 +74,12 @@ def local_word_vectors(kw_by_paper: dict[int, list[str]], *,
 class PaperEmbedder:
     """Builds per-paper view vectors once for the whole corpus."""
 
-    def __init__(self, papers: pd.DataFrame, *, seed: int = 0) -> None:
+    def __init__(self, papers: pd.DataFrame) -> None:
         self.papers = papers.set_index("paper_id")
         self.kw = local_keywords(papers)
         self.wv = local_word_vectors(self.kw)
         self.title_dim = TITLE_DIM if not self.wv else len(next(iter(self.wv.values())))
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(0)
         n_buckets = 4096
         self._proj_co = rng.standard_normal((n_buckets, COAUTHOR_DIM)) / math.sqrt(COAUTHOR_DIM)
         self._proj_ven = rng.standard_normal((n_buckets, VENUE_DIM)) / math.sqrt(VENUE_DIM)

@@ -21,10 +21,10 @@ from repro.eval.metrics import Confusion
 MAX_TRAIN_PAIRS = 20000
 
 MODELS = {
-    "AdaBoost": lambda seed: AdaBoost(n_estimators=60, max_depth=2),
-    "GBDT": lambda seed: GradientBoosting(n_estimators=80, max_depth=3),
-    "RF": lambda seed: RandomForest(n_estimators=50, max_depth=8, seed=seed),
-    "XGBoost": lambda seed: XGBoostLite(n_estimators=80, max_depth=3),
+    "AdaBoost": lambda: AdaBoost(n_estimators=60, max_depth=2),
+    "GBDT": lambda: GradientBoosting(n_estimators=80, max_depth=3),
+    "RF": lambda: RandomForest(n_estimators=50, max_depth=8),
+    "XGBoost": lambda: XGBoostLite(n_estimators=80, max_depth=3),
 }
 
 
@@ -49,7 +49,6 @@ def run_supervised(
     train_names: list[str],
     test_names: list[str],
     *,
-    seed: int = 0,
     extractor: FeatureExtractor | None = None,
 ) -> Confusion:
     """Train a pairwise classifier on ``train_names`` and evaluate the micro
@@ -57,11 +56,11 @@ def run_supervised(
     fx = extractor if extractor is not None else FeatureExtractor(papers)
     train = labelled_name_pairs(occ, train_names)
     if len(train) > MAX_TRAIN_PAIRS:
-        train = train.sample(MAX_TRAIN_PAIRS, random_state=seed)
+        train = train.sample(MAX_TRAIN_PAIRS, random_state=0)
     test = labelled_name_pairs(occ, test_names)
     Xtr = fx.pairs_matrix(train)
     Xte = fx.pairs_matrix(test)
-    model = MODELS[model_name](seed)
+    model = MODELS[model_name]()
     model.fit(Xtr, train.label.to_numpy())
     pred = model.predict(Xte)
     y = test.label.to_numpy()

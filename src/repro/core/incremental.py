@@ -28,6 +28,8 @@ def profile_for_paper(paper: Mapping, name: str, stats: CorpusStats) -> Profile:
     names, pid = paper["names"], paper["paper_id"]
     if names is None or len(names) == 0:
         raise ValueError(f"paper {pid!r} has an empty co-author list")
+    if any(n is None for n in names):
+        raise ValueError(f"paper {pid!r} has a null name in its co-author list")
     if len(set(names)) < len(names):
         raise ValueError(f"paper {pid!r} has a name twice in its co-author list")
     if any(VSEP in n or SSEP in n for n in names):

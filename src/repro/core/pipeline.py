@@ -50,9 +50,9 @@ def run_iuad(
     (every pair if that would be under 200), drawn by pair hash and topped
     up with split-vertex matched pairs against class imbalance (V-F.2);
     ``delta`` is the decision threshold on the log posterior-odds score.
-    A paper with an empty or repeating co-author list, a name holding a
-    vertex id separator (``scn.VSEP``, ``scn.SSEP``), or without a year or
-    venue, fails the run when it is first read.
+    A paper with an empty or repeating co-author list, a null name, a name
+    holding a vertex id separator (``scn.VSEP``, ``scn.SSEP``), or without
+    a year or venue, fails the run when it is first read.
     """
     papers = _checked(papers)
     scn = build_scn(papers, eta=eta)
@@ -93,6 +93,8 @@ def _checked(papers: DataFrame) -> DataFrame:
     names = F.col("names")
     problem = (
         F.when(names.isNull() | (F.size(names) == 0), "an empty co-author list")
+        # Nulls sort first, so one look at the head finds any null name.
+        .when(F.sort_array(names)[0].isNull(), "a null name in its co-author list")
         .when(F.size(F.array_distinct(names)) < F.size(names), "a name twice in its co-author list")
         .when(F.array_join(names, "").rlike(f"[{VSEP}{SSEP}]"), f"a name holding {VSEP} or {SSEP}")
         .when(F.col("year").isNull(), "no year")

@@ -2,10 +2,10 @@
 
 The unsupervised baselines cluster per-name paper sets: ANON and Aminer use
 hierarchical agglomerative clustering (HAC), NetE and GHOST use Affinity
-Propagation (AP) — plus a DBSCAN density fallback standing in for NetE's
-HDBSCAN (no sklearn/hdbscan offline; see DESIGN.md substitutions). Per-name
-instances are small (tens to a few hundred papers), so the O(n²)–O(n³)
-reference algorithms are appropriate.
+Propagation (AP); AP also stands in for NetE's HDBSCAN (no sklearn/hdbscan
+offline; see DESIGN.md substitutions). Per-name instances are small (tens
+to a few hundred papers), so the O(n²)–O(n³) reference algorithms are
+appropriate.
 """
 from __future__ import annotations
 
@@ -60,7 +60,6 @@ def affinity_propagation(
     sim: np.ndarray,
     *,
     preference: float | None = None,
-    seed: int = 0,
 ) -> np.ndarray:
     """Affinity Propagation (Frey & Dueck 2007) on a similarity matrix."""
     n = len(sim)
@@ -69,7 +68,7 @@ def affinity_propagation(
     if n == 1:
         return np.zeros(1, dtype=int)
     S = sim.astype(float).copy()
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     pref = np.median(S[~np.eye(n, dtype=bool)]) if preference is None else preference
     np.fill_diagonal(S, pref)
     # Tiny noise breaks degeneracies (as in the reference implementation).
@@ -108,37 +107,4 @@ def affinity_propagation(
         exemplars = np.array([int(np.argmax(S.diagonal()))])
     labels = np.argmax(S[:, exemplars], axis=1)
     labels[exemplars] = np.arange(len(exemplars))
-    return labels
-
-
-def dbscan(dist: np.ndarray, *, eps: float, min_samples: int = 2) -> np.ndarray:
-    """DBSCAN on a distance matrix; noise points become singleton clusters
-    (author disambiguation must label every paper)."""
-    n = len(dist)
-    labels = np.full(n, -1)
-    visited = np.zeros(n, dtype=bool)
-    cid = 0
-    for i in range(n):
-        if visited[i]:
-            continue
-        visited[i] = True
-        nbrs = list(np.flatnonzero(dist[i] <= eps))
-        if len(nbrs) < min_samples:
-            continue
-        labels[i] = cid
-        queue = [j for j in nbrs if j != i]
-        while queue:
-            j = queue.pop()
-            if not visited[j]:
-                visited[j] = True
-                nn = list(np.flatnonzero(dist[j] <= eps))
-                if len(nn) >= min_samples:
-                    queue.extend(k for k in nn if labels[k] == -1)
-            if labels[j] == -1:
-                labels[j] = cid
-        cid += 1
-    for i in range(n):
-        if labels[i] == -1:
-            labels[i] = cid
-            cid += 1
     return labels

@@ -3,16 +3,19 @@
 For every testing-set name, every unordered pair of (paper, name)
 occurrences is classified same/different author by the method (cluster ids)
 and by ground truth (author ids); TP/FP/FN/TN are totalled over all names
-and MicroA/P/R/F computed from the totals. The Spark dataflow is a per-name
-self-join; tests oracle-check the counts against the identical DuckDB SQL.
+and MicroA/P/R/F computed from the totals. No pair is listed: Spark counts
+the occurrences of each (name, cluster, author) cell, and each total is a
+sum of C(n, 2) over groups of those cells (Hubert & Arabie 1985). The
+pandas pair loop ``confusion_pandas`` and the DuckDB self-join SQL in the
+tests are the references the counts are checked against.
 """
 from __future__ import annotations
 
 import dataclasses
+from collections import Counter
 
 import pandas as pd
 from pyspark.sql import DataFrame
-from pyspark.sql import functions as F
 
 
 @dataclasses.dataclass
@@ -51,52 +54,35 @@ class Confusion:
         }
 
 
-def labelled_pairs(labelled: DataFrame) -> DataFrame:
-    """Per-name occurrence pairs with prediction/truth agreement flags.
-
-    ``labelled``: (paper_id, name, cluster, author_id). Output columns:
-    name, p1, p2, pred_same, true_same.
-    """
-    a = labelled.select(
-        "name",
-        F.col("paper_id").alias("p1"),
-        F.col("cluster").alias("c1"),
-        F.col("author_id").alias("a1"),
-    )
-    b = labelled.select(
-        "name",
-        F.col("paper_id").alias("p2"),
-        F.col("cluster").alias("c2"),
-        F.col("author_id").alias("a2"),
-    )
-    return (
-        a.join(b, "name")
-        .where(F.col("p1") < F.col("p2"))
-        .select(
-            "name",
-            "p1",
-            "p2",
-            (F.col("c1") == F.col("c2")).alias("pred_same"),
-            (F.col("a1") == F.col("a2")).alias("true_same"),
-        )
-    )
-
-
-def confusion_df(labelled: DataFrame) -> DataFrame:
-    """One-row DataFrame with tp/fp/fn/tn — oracle-comparable."""
-    pr = labelled_pairs(labelled)
-    one = lambda c: F.sum(F.when(c, 1).otherwise(0))  # noqa: E731
-    return pr.agg(
-        one(F.col("pred_same") & F.col("true_same")).alias("tp"),
-        one(F.col("pred_same") & ~F.col("true_same")).alias("fp"),
-        one(~F.col("pred_same") & F.col("true_same")).alias("fn"),
-        one(~F.col("pred_same") & ~F.col("true_same")).alias("tn"),
-    )
+def _pairs(counts: Counter) -> int:
+    """Σ C(n, 2): the unordered pairs within each group of ``counts``."""
+    return sum(n * (n - 1) // 2 for n in counts.values())
 
 
 def confusion(labelled: DataFrame) -> Confusion:
-    r = confusion_df(labelled).first()
-    return Confusion(tp=r["tp"] or 0, fp=r["fp"] or 0, fn=r["fn"] or 0, tn=r["tn"] or 0)
+    """Pair counts of ``labelled``: (paper_id, name, cluster, author_id),
+    one row per (paper_id, name), as every occurrence table has.
+
+    One count n per (name, cluster, author_id) cell is collected, and no
+    pair is listed. TP is Σ C(n, 2) over the cells; the same-cluster,
+    same-author and all pairs are Σ C(n, 2) over the cells' sums per
+    (name, cluster), (name, author_id) and name. A row with a null column
+    is dropped first: like the ``=`` of a self-join, it pairs with no row.
+    """
+    cells = (
+        labelled.dropna(subset=["paper_id", "name", "cluster", "author_id"])
+        .groupBy("name", "cluster", "author_id")
+        .count()
+        .collect()
+    )
+    both, cluster, author, name = Counter(), Counter(), Counter(), Counter()
+    for nm, c, a, n in cells:
+        both[nm, c, a] = n
+        cluster[nm, c] += n
+        author[nm, a] += n
+        name[nm] += n
+    tp, same_c, same_a = _pairs(both), _pairs(cluster), _pairs(author)
+    return Confusion(tp=tp, fp=same_c - tp, fn=same_a - tp, tn=_pairs(name) - same_c - same_a + tp)
 
 
 def confusion_pandas(labelled: pd.DataFrame) -> Confusion:

@@ -4,7 +4,8 @@ Each function returns a pandas DataFrame with the same rows the paper
 reports. ``measure_table`` is the one entry point of the table CLI
 (``jobs/tables.py``) and the benchmarks, which print each table beside
 ``paper_numbers.PAPER_FRAMES``; EXPERIMENTS.md records both. Ground truth
-comes from the synthetic corpus (DESIGN.md § 2).
+comes from the synthetic corpus (DESIGN.md § 2). Every table runs at seed 0,
+the one seed of the baselines, of IUAD's EM and of Table VI's hold-out.
 """
 from __future__ import annotations
 
@@ -12,14 +13,14 @@ import time
 
 import numpy as np
 import pandas as pd
-from pyspark.sql import SparkSession
+from pyspark.sql import DataFrame, SparkSession
 
 from repro.baselines.aminer import run_aminer
 from repro.baselines.anon import run_anon
 from repro.baselines.embed import PaperEmbedder
 from repro.baselines.ghost import run_ghost
 from repro.baselines.nete import run_nete
-from repro.baselines.supervised import run_supervised
+from repro.baselines.supervised import MODELS, run_supervised
 from repro.core.incremental import IncrementalJudge
 from repro.core.pipeline import (
     DELTA,
@@ -34,7 +35,7 @@ from repro.dblp.testing import testing_occurrences, testing_set
 from repro.eval.metrics import Confusion, confusion, confusion_pandas
 
 
-SUPERVISED = ("AdaBoost", "GBDT", "RF", "XGBoost")
+SUPERVISED = tuple(MODELS)
 
 # The unsupervised top-down baselines of Tables III and V, each run as
 # run(papers, names, embedder). GHOST reads the co-author graph alone, so
@@ -71,13 +72,9 @@ def _truth_df(spark: SparkSession, corpus: Corpus, names: list[str]):
     return spark.createDataFrame(testing_occurrences(corpus.papers, names))
 
 
-def _iuad_confusions(
-    spark: SparkSession, model: IUADModel, corpus: Corpus, names: list[str]
-) -> tuple[Confusion, Confusion]:
-    truth = _truth_df(spark, corpus, names)
-    scn_m = confusion(scn_only_assignments(model).join(truth, ["paper_id", "name"]))
-    gcn_m = confusion(gcn_assignments(model).join(truth, ["paper_id", "name"]))
-    return scn_m, gcn_m
+def _scored(assignments: DataFrame, truth: DataFrame) -> Confusion:
+    """The confusion of an IUAD clustering on the occurrences in ``truth``."""
+    return confusion(assignments.join(truth, ["paper_id", "name"]))
 
 
 def _eval_clustering_pdf(clusters: pd.DataFrame, occ: pd.DataFrame) -> Confusion:
@@ -92,7 +89,6 @@ def table3(
     n_names: int = 50,
     eta: int = ETA,
     delta: float = DELTA,
-    seed: int = 0,
     model: IUADModel | None = None,
 ) -> pd.DataFrame:
     """Performance of IUAD vs 4 supervised + 4 unsupervised baselines."""
@@ -118,21 +114,21 @@ def table3(
     fx = FeatureExtractor(corpus.papers)
     for m in SUPERVISED:
         c = run_supervised(
-            m, corpus.papers, occ_all, train_names, eval_names, seed=seed, extractor=fx
+            m, corpus.papers, occ_all, train_names, eval_names, extractor=fx
         )
         rows.append(_metric_row(m, "Supervised", c))
 
     # Unsupervised top-down baselines.
-    emb = PaperEmbedder(corpus.papers, seed=seed)
+    emb = PaperEmbedder(corpus.papers)
     for m, run in UNSUPERVISED.items():
         clusters = run(corpus.papers, names, emb)
         rows.append(_metric_row(m, "Unsupervised", _eval_clustering_pdf(clusters, occ)))
 
     # IUAD.
     if model is None:
-        model = run_iuad(spark, corpus.to_spark(spark), eta=eta, delta=delta, seed=seed)
-    _, gcn_m = _iuad_confusions(spark, model, corpus, names)
-    rows.append(_metric_row("IUAD", "Ours", gcn_m))
+        model = run_iuad(spark, corpus.to_spark(spark), eta=eta, delta=delta)
+    truth = _truth_df(spark, corpus, names)
+    rows.append(_metric_row("IUAD", "Ours", _scored(gcn_assignments(model), truth)))
     return pd.DataFrame(rows)
 
 
@@ -143,15 +139,15 @@ def table4(
     n_names: int = 50,
     eta: int = ETA,
     delta: float = DELTA,
-    seed: int = 0,
     model: IUADModel | None = None,
 ) -> pd.DataFrame:
     """Stage ablation: metrics after SCN only vs after GCN, plus improvement."""
     names = testing_set(corpus.papers, n_names=n_names).name.tolist()
     if model is None:
-        model = run_iuad(spark, corpus.to_spark(spark), eta=eta, delta=delta, seed=seed)
-    scn_m, gcn_m = _iuad_confusions(spark, model, corpus, names)
-    s, g = scn_m.as_row(), gcn_m.as_row()
+        model = run_iuad(spark, corpus.to_spark(spark), eta=eta, delta=delta)
+    truth = _truth_df(spark, corpus, names)
+    s = _scored(scn_only_assignments(model), truth).as_row()
+    g = _scored(gcn_assignments(model), truth).as_row()
     # Improv is the difference of the printed (rounded) columns.
     return pd.DataFrame(
         [
@@ -170,7 +166,6 @@ def table5(
     fractions: tuple[float, ...] = (0.2, 0.4, 0.6, 0.8, 1.0),
     eta: int = ETA,
     delta: float = DELTA,
-    seed: int = 0,
 ) -> pd.DataFrame:
     """Average disambiguation time per name at growing data scale.
 
@@ -190,7 +185,7 @@ def table5(
         # session's cold start (JVM and Python worker start-up).
         papers = full.iloc[: int(len(full) * fractions[0])].reset_index(drop=True)
         run_iuad(spark, Corpus(papers=papers, authors=corpus.authors).to_spark(spark),
-                 eta=eta, delta=delta, seed=seed)
+                 eta=eta, delta=delta)
     for frac in fractions:
         papers = full.iloc[: int(len(full) * frac)].reset_index(drop=True)
         present = {n for nms in papers.names for n in nms}
@@ -198,7 +193,7 @@ def table5(
         denom = max(1, len(names))
 
         t0 = time.time()
-        emb = PaperEmbedder(papers, seed=seed)
+        emb = PaperEmbedder(papers)
         emb_t = time.time() - t0
 
         for m, run in UNSUPERVISED.items():
@@ -208,7 +203,7 @@ def table5(
 
         sdf = Corpus(papers=papers, authors=corpus.authors).to_spark(spark)
         t0 = time.time()
-        run_iuad(spark, sdf, eta=eta, delta=delta, seed=seed)
+        run_iuad(spark, sdf, eta=eta, delta=delta)
         out["IUAD"].append((time.time() - t0) / max(1, len(present)))
 
     cols = {f"{int(f * 100)}%": [round(out[m][i], 3) for m in out] for i, f in enumerate(fractions)}
@@ -223,11 +218,10 @@ def table6(
     n_new: tuple[int, ...] = (100, 200, 300),
     eta: int = ETA,
     delta: float = DELTA,
-    seed: int = 0,
 ) -> pd.DataFrame:
     """Incremental disambiguation: hold out N testing-name papers, build the
     GCN on the rest, judge held-out papers one by one (posterior only)."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     names = testing_set(corpus.papers, n_names=n_names).name.tolist()
     nameset = set(names)
     occ_all = author_paper_pairs(corpus.papers)
@@ -240,12 +234,12 @@ def table6(
         part1 = corpus.papers[~corpus.papers.paper_id.isin(held)].reset_index(drop=True)
         model = run_iuad(
             spark, Corpus(papers=part1, authors=corpus.authors).to_spark(spark),
-            eta=eta, delta=delta, seed=seed,
+            eta=eta, delta=delta,
         )
         # Part-1 metrics.
         occ1 = occ_all[occ_all.name.isin(nameset) & ~occ_all.paper_id.isin(held)]
         truth1 = spark.createDataFrame(occ1)
-        m1 = confusion(gcn_assignments(model).join(truth1, ["paper_id", "name"]))
+        m1 = _scored(gcn_assignments(model), truth1)
 
         # Stream part 2 through the incremental judge.
         judge = IncrementalJudge.from_model(model)

@@ -11,7 +11,7 @@ from repro.exp.tables import UNSUPERVISED as RUNNERS
 
 @pytest.fixture(scope="module")
 def embedder(corpus):
-    return PaperEmbedder(corpus.papers, seed=0)
+    return PaperEmbedder(corpus.papers)
 
 
 @pytest.fixture(scope="module")

@@ -1,8 +1,8 @@
-"""From-scratch clustering algorithms (HAC, AP, DBSCAN)."""
+"""From-scratch clustering algorithms (HAC, AP)."""
 import numpy as np
 import pytest
 
-from repro.eval.clustering import affinity_propagation, dbscan, hac_average
+from repro.eval.clustering import affinity_propagation, hac_average
 
 
 def two_blobs(n=10, gap=10.0, seed=0):
@@ -80,22 +80,3 @@ class TestAffinityPropagation:
         many = len(set(affinity_propagation(-D, preference=0.0)))
         few = len(set(affinity_propagation(-D, preference=-200.0)))
         assert few <= many
-
-
-class TestDBSCAN:
-    def test_two_blobs_recovered(self):
-        D, truth = two_blobs(n=8)
-        labels = dbscan(D, eps=1.5, min_samples=2)
-        assert same_partition(labels, truth)
-
-    def test_noise_becomes_singletons(self):
-        x = np.array([[0.0], [0.1], [0.2], [50.0]])
-        D = np.abs(x - x.T)
-        labels = dbscan(D, eps=0.5, min_samples=2)
-        assert labels[0] == labels[1] == labels[2]
-        assert labels[3] != labels[0]
-
-    def test_all_labelled(self):
-        D, _ = two_blobs(n=6)
-        labels = dbscan(D, eps=0.1, min_samples=3)
-        assert (labels >= 0).all()

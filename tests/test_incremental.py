@@ -87,8 +87,10 @@ bad_papers = pytest.mark.parametrize(
         ({"year": None}, "no year"),
         ({"venue": None}, "no venue"),
         ({"names": ["n", "x#y"]}, "name holding # or @"),
+        ({"names": ["n", None]}, "null name"),
     ],
-    ids=["empty_names", "repeated_name", "no_year", "no_venue", "vertex_id_separator"],
+    ids=["empty_names", "repeated_name", "no_year", "no_venue", "vertex_id_separator",
+         "null_name"],
 )
 
 

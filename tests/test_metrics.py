@@ -1,15 +1,12 @@
-"""Pairwise micro metrics — Spark dataflow, pandas twin, DuckDB oracle."""
+"""Pairwise micro metrics — Spark cell counts, pandas pair loop, DuckDB
+self-join oracle."""
+import dataclasses
+
+import numpy as np
 import pandas as pd
 import pytest
-from pyspark.sql import functions as F
 
-from repro.eval.metrics import (
-    Confusion,
-    confusion,
-    confusion_df,
-    confusion_pandas,
-    labelled_pairs,
-)
+from repro.eval.metrics import Confusion, confusion, confusion_pandas
 
 from .oracle import assert_equivalent
 
@@ -65,6 +62,41 @@ class TestPandasConfusion:
         assert (got.tp, got.fp, got.fn, got.tn) == (0, 0, 0, 0)
 
 
+#: The paper's definition as a per-name self-join: the oracle of ``confusion``.
+ORACLE_SQL = """
+WITH pairs AS (
+  SELECT (a.cluster = b.cluster) AS pred_same,
+         (a.author_id = b.author_id) AS true_same
+  FROM lab a JOIN lab b
+    ON a.name = b.name AND a.paper_id < b.paper_id
+)
+SELECT
+  SUM(CASE WHEN pred_same AND true_same THEN 1 ELSE 0 END)::BIGINT  AS tp,
+  SUM(CASE WHEN pred_same AND NOT true_same THEN 1 ELSE 0 END)::BIGINT AS fp,
+  SUM(CASE WHEN NOT pred_same AND true_same THEN 1 ELSE 0 END)::BIGINT AS fn,
+  SUM(CASE WHEN NOT pred_same AND NOT true_same THEN 1 ELSE 0 END)::BIGINT AS tn
+FROM pairs
+"""
+
+
+def assert_oracle(spark, lab: pd.DataFrame) -> None:
+    """Spark ``confusion`` on ``lab`` equals the DuckDB self-join."""
+    got = dataclasses.asdict(confusion(spark.createDataFrame(lab)))
+    assert_equivalent(spark.createDataFrame(pd.DataFrame([got])), ORACLE_SQL, lab=lab)
+
+
+def random_labelled(seed: int, n: int = 300) -> pd.DataFrame:
+    rng = np.random.default_rng(seed)
+    return pd.DataFrame(
+        {
+            "paper_id": np.arange(n),
+            "name": rng.choice(["A", "B", "C", "D"], n),
+            "cluster": rng.choice([f"c{i}" for i in range(6)], n),
+            "author_id": rng.integers(0, 5, n),
+        }
+    )
+
+
 @pytest.mark.spark
 class TestSparkConfusion:
     def test_matches_pandas(self, spark):
@@ -73,49 +105,24 @@ class TestSparkConfusion:
         assert (got.tp, got.fp, got.fn, got.tn) == (1, 2, 2, 2)
 
     def test_oracle_pair_counts(self, spark):
-        """The per-name self-join equals the identical DuckDB SQL."""
-        lab = tiny_labelled()
-        got = confusion_df(spark.createDataFrame(lab)).select(
-            *[F.col(c).cast("long").alias(c) for c in ("tp", "fp", "fn", "tn")]
-        )
-        assert_equivalent(
-            got,
-            """
-            WITH pairs AS (
-              SELECT a.name,
-                     (a.cluster = b.cluster) AS pred_same,
-                     (a.author_id = b.author_id) AS true_same
-              FROM lab a JOIN lab b
-                ON a.name = b.name AND a.paper_id < b.paper_id
-            )
-            SELECT
-              SUM(CASE WHEN pred_same AND true_same THEN 1 ELSE 0 END)::BIGINT  AS tp,
-              SUM(CASE WHEN pred_same AND NOT true_same THEN 1 ELSE 0 END)::BIGINT AS fp,
-              SUM(CASE WHEN NOT pred_same AND true_same THEN 1 ELSE 0 END)::BIGINT AS fn,
-              SUM(CASE WHEN NOT pred_same AND NOT true_same THEN 1 ELSE 0 END)::BIGINT AS tn
-            FROM pairs
-            """,
-            lab=lab,
-        )
+        """The cell counts equal the identical DuckDB self-join SQL."""
+        assert_oracle(spark, tiny_labelled())
 
-    def test_labelled_pairs_count(self, spark):
-        lab = spark.createDataFrame(tiny_labelled())
-        # C(4,2) + C(2,2) = 6 + 1
-        assert labelled_pairs(lab).count() == 7
+    def test_oracle_null_labels(self, spark):
+        """A row with a null cluster or author id pairs with no row, as
+        under the self-join's ``=``."""
+        lab = tiny_labelled()
+        lab["cluster"] = lab.cluster.astype(object)
+        lab.loc[1, "cluster"] = None
+        lab["author_id"] = lab.author_id.astype("Int64")
+        lab.loc[4, "author_id"] = pd.NA
+        got = confusion(spark.createDataFrame(lab))
+        # X pairs without paper 2: (1,3) FP, (1,4) TN, (3,4) FN; Y: none.
+        assert (got.tp, got.fp, got.fn, got.tn) == (0, 1, 1, 1)
+        assert_oracle(spark, lab)
 
     def test_spark_vs_pandas_on_random_data(self, spark):
-        import numpy as np
-
-        rng = np.random.default_rng(0)
-        n = 300
-        lab = pd.DataFrame(
-            {
-                "paper_id": np.arange(n),
-                "name": rng.choice(["A", "B", "C", "D"], n),
-                "cluster": rng.choice([f"c{i}" for i in range(6)], n),
-                "author_id": rng.integers(0, 5, n),
-            }
-        )
-        sp = confusion(spark.createDataFrame(lab))
-        pdm = confusion_pandas(lab)
-        assert (sp.tp, sp.fp, sp.fn, sp.tn) == (pdm.tp, pdm.fp, pdm.fn, pdm.tn)
+        for seed, n in enumerate((300, 40, 7)):
+            lab = random_labelled(seed, n)
+            assert confusion(spark.createDataFrame(lab)) == confusion_pandas(lab)
+            assert_oracle(spark, lab)

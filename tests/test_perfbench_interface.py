@@ -55,6 +55,8 @@ def _callable(module: str, qualname: str):
         ("repro.core.incremental", "IncrementalJudge.from_model", ("model",)),
         ("repro.core.incremental", "IncrementalJudge.judge", ("self", "paper", "name")),
         ("repro.core.incremental", "IncrementalJudge.assimilate", ("self", "paper", "name", "vid")),
+        ("repro.eval.metrics", "confusion", ("labelled",)),
+        ("repro.eval.metrics", "confusion_pandas", ("labelled",)),
     ],
 )
 def test_call_shapes(module, qualname, args):

@@ -43,7 +43,7 @@ class TestRunSupervised:
         train, test = split
         c = run_supervised(
             model_name, corpus.papers, occurrences_truth, train, test,
-            seed=0, extractor=extractor,
+            extractor=extractor,
         )
         total = c.tp + c.fp + c.fn + c.tn
         majority = max(c.tp + c.fn, c.fp + c.tn) / total
