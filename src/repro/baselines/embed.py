@@ -19,11 +19,12 @@ from __future__ import annotations
 import hashlib
 import math
 from collections import Counter
+from itertools import combinations
 
 import numpy as np
 import pandas as pd
 
-from repro.text.embeddings import MAX_VOCAB, ppmi_svd
+from repro.text.embeddings import MAX_VOCAB, vocab_vectors
 from repro.text.keywords import FREQUENT_CUT, title_tokens
 
 
@@ -51,24 +52,15 @@ def local_keywords(papers: pd.DataFrame, *,
 def local_word_vectors(kw_by_paper: dict[int, list[str]], *,
                        dim: int = TITLE_DIM) -> dict[str, np.ndarray]:
     """PPMI + SVD word vectors from title co-occurrence, counted locally
-    and factorised like ``repro.text.embeddings.word_vectors``."""
+    and factorised by ``repro.text.embeddings.vocab_vectors``."""
     freq = Counter()
     for ws in kw_by_paper.values():
         freq.update(ws)
     vocab = [w for w, _ in freq.most_common(MAX_VOCAB)]
-    index = {w: i for i, w in enumerate(vocab)}
-    V = len(vocab)
-    if V == 0:
-        return {}
-    M = np.zeros((V, V))
-    for ws in kw_by_paper.values():
-        ids = [index[w] for w in set(ws) if w in index]
-        for i in range(len(ids)):
-            for j in range(i + 1, len(ids)):
-                M[ids[i], ids[j]] += 1
-                M[ids[j], ids[i]] += 1
-    vecs = ppmi_svd(M, dim)
-    return {w: vecs[i] for w, i in index.items()}
+    cooccurrences = (
+        (a, b, 1) for ws in kw_by_paper.values() for a, b in combinations(sorted(set(ws)), 2)
+    )
+    return vocab_vectors(vocab, cooccurrences, dim)
 
 
 class PaperEmbedder:

@@ -11,9 +11,10 @@ variance floor and the λ caps apply. Every γ matrix has one column per
 
 ``fit_em`` runs EM in numpy over a collected sample: the paper trains on a
 10 % sample of pairs, so the training matrix is small by design.
-``score_array`` is the one scoring function: ``gcn.score_pairs`` applies it
-per partition to every candidate pair, and the incremental judge applies it
-directly to a new paper's candidates. It shares the E-step's log-joint.
+``score_array`` is the one scoring function: the δ-merge
+(``gcn.build_gcn``) applies it to each name's γ block, the scored view of
+the pairs (``gcn.score_pairs``) per Arrow batch, and the incremental judge
+to a new paper's candidates. It shares the E-step's log-joint.
 """
 from __future__ import annotations
 

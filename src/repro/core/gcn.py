@@ -1,12 +1,11 @@
 """Stage II — Global Collaboration Network (GCN) construction.
 
-Score every same-name vertex pair with the fitted generative model
-(eq. 11), merge pairs whose score clears the decision threshold δ
-(transitively: one union–find per name in the per-name pass,
-``graph.components.per_name``), re-key every paper occurrence to its
-merged vertex, and recover the collaborative relations from the
-co-author lists (Algorithm 1, lines 11–16): each paper's list of
-final vertices gives its edges in-row (``repro.graph.pairs``).
+Per name (``graph.components.per_name``), score the name's γ block with
+the fitted generative model (eq. 11), merge the pairs whose score clears
+the decision threshold δ (transitively: one union–find), re-key every
+paper occurrence to its merged vertex, and recover the collaborative
+relations from the co-author lists (Algorithm 1, lines 11–16): each
+paper's list of final vertices gives its edges in-row (``repro.graph.pairs``).
 """
 from __future__ import annotations
 
@@ -37,8 +36,8 @@ class GCN:
 
 
 def score_pairs(pairs: DataFrame, params: EMParams) -> DataFrame:
-    """Append the matching score column: ``score_array`` over the γ columns
-    of each Arrow batch (per-partition posterior odds)."""
+    """The pairs with the merge's matching score appended: ``score_array``
+    over the γ columns of each Arrow batch; for readers outside the run."""
 
     def score(batches):
         for pdf in batches:
@@ -50,13 +49,25 @@ def score_pairs(pairs: DataFrame, params: EMParams) -> DataFrame:
 
 
 def build_gcn(
-    scn_assignments: DataFrame, pairs_scored: DataFrame, *, delta: float
+    scn_assignments: DataFrame, pairs: DataFrame, params: EMParams, *, delta: float
 ) -> GCN:
-    """Merge and re-key the SCN into the GCN: union–find per name over the
-    score ≥ δ pairs, then every occurrence takes its vertex's merged id."""
-    hits = pairs_scored.where(F.col("score") >= delta).select("name", "vid_i", "vid_j")
+    """Merge and re-key the SCN into the GCN: per name, union–find over the
+    γ pairs scoring ≥ δ under ``params``; each occurrence takes its merged id."""
+
+    def merge(name, rows):
+        """One name's merged vertices, each with its component's smallest id."""
+        hit = score_array(np.column_stack([rows[g] for g in GAMMA_NAMES]), params) >= delta
+        if not hit.any():
+            return None
+        uf = UnionFind()
+        for u, v in zip(rows["vid_i"][hit], rows["vid_j"][hit]):
+            uf.union(u, v)
+        comp = uf.components()
+        return {"vertex_id": np.array(list(comp), object),
+                "gcn_vertex": np.array(list(comp.values()), object)}
+
     schema = "name string, vertex_id string, gcn_vertex string"
-    mapping = per_name(hits, _merge, schema).localCheckpoint(eager=False)
+    mapping = per_name(pairs, merge, schema).localCheckpoint(eager=False)
     assignments = (
         scn_assignments.join(mapping, ["name", "vertex_id"], "left")
         .select(
@@ -73,12 +84,3 @@ def build_gcn(
     edges = pair_counts(lists, "vs", "u", "v")
     return GCN(mapping=mapping, assignments=assignments, edges=edges)
 
-
-def _merge(name, pairs):
-    """One name's merged vertices, each with its component's smallest id."""
-    uf = UnionFind()
-    for u, v in zip(pairs["vid_i"], pairs["vid_j"]):
-        uf.union(u, v)
-    comp = uf.components()
-    return {"vertex_id": np.array(list(comp), object),
-            "gcn_vertex": np.array(list(comp.values()), object)}

@@ -25,11 +25,12 @@ DELTA = 0.0
 
 @dataclasses.dataclass
 class IUADModel:
-    """Everything the pipeline produced: reusable for incremental judgement."""
+    """Everything the pipeline produced: reusable for incremental judgement.
+    ``pairs`` is a lazy view (``gcn.score_pairs``) that scores on each read."""
 
     scn: SCN
     profiles: ProfileSet
-    pairs: DataFrame  # γ vectors + score for every candidate pair
+    pairs: DataFrame
     params: EMParams
     gcn: GCN
     delta: float
@@ -80,11 +81,9 @@ def run_iuad(
 
     params: EMParams = fit_em(X, seed=seed)
 
-    pairs_scored = score_pairs(pairs, params).cache()
-    gcn = build_gcn(scn.assignments, pairs_scored, delta=delta)
-    return IUADModel(
-        scn=scn, profiles=ps, pairs=pairs_scored, params=params, gcn=gcn, delta=delta
-    )
+    gcn = build_gcn(scn.assignments, pairs, params, delta=delta)
+    scored = score_pairs(pairs, params)
+    return IUADModel(scn=scn, profiles=ps, pairs=scored, params=params, gcn=gcn, delta=delta)
 
 
 def _checked(papers: DataFrame) -> DataFrame:

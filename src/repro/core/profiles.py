@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import dataclasses
 
-import numpy as np
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
@@ -120,9 +119,8 @@ def build_profiles(papers: DataFrame, scn: SCN) -> ProfileSet:
         )
     ).localCheckpoint(eager=False)  # truncate the WL/triangle lineage
 
-    wv = word_vectors(kw.papers, kw.fb)
-    vecs = {k: np.asarray(v) for k, v in zip(wv["keyword"], wv["vec"])}
-    return ProfileSet(profiles=prof, stats=CorpusStats(fb=kw.fb, fh=kw.fh, word_vectors=vecs))
+    stats = CorpusStats(fb=kw.fb, fh=kw.fh, word_vectors=word_vectors(kw.papers, kw.fb))
+    return ProfileSet(profiles=prof, stats=stats)
 
 
 def row_to_profile(row) -> Profile:

@@ -34,19 +34,17 @@ class TestSparkEmbeddings:
 
     def test_topical_words_closer_than_cross_topic(self, spark, topic_papers):
         kw = keywords(topic_papers, top_frequent_cut=1.0)
-        wv = word_vectors(kw.papers, kw.fb, dim=8)
-        vecs = dict(zip(wv.keyword, wv.vec))
+        vecs = word_vectors(kw.papers, kw.fb, dim=8)
         cos = lambda a, b: float(  # noqa: E731
             np.dot(a, b) / (np.linalg.norm(a) * np.linalg.norm(b) + 1e-12)
         )
-        within = cos(np.asarray(vecs["cat"]), np.asarray(vecs["dog"]))
-        across = cos(np.asarray(vecs["cat"]), np.asarray(vecs["matrix"]))
+        within = cos(vecs["cat"], vecs["dog"])
+        across = cos(vecs["cat"], vecs["matrix"])
         assert within > across
 
     def test_all_keywords_covered(self, spark, topic_papers):
         kw = keywords(topic_papers, top_frequent_cut=1.0)
-        wv = word_vectors(kw.papers, kw.fb, dim=8)
-        got = set(wv.keyword)
+        got = set(word_vectors(kw.papers, kw.fb, dim=8))
         assert got == set(kw.fb) == {"cat", "dog", "animal", "vector", "matrix", "algebra"}
 
     def test_empty_corpus(self, spark):
@@ -56,7 +54,22 @@ class TestSparkEmbeddings:
             schema=PAPER_SCHEMA,
         )
         kw = keywords(empty, top_frequent_cut=1.0)
-        assert len(word_vectors(kw.papers, kw.fb)) == 0
+        assert word_vectors(kw.papers, kw.fb) == {}
+
+
+    def test_local_vectors_equal_spark_vectors(self, spark):
+        """With one vocabulary order (every keyword count distinct) the
+        baselines' local vectors are the batch's, bit for bit."""
+        titles = ["alpha beta gamma"] * 3 + ["alpha beta delta"] * 2 + ["alpha"]
+        pdf = pd.DataFrame(
+            [(i, [0], ["n0"], t, "V", 2000) for i, t in enumerate(titles)],
+            columns=["paper_id", "authors", "names", "title", "venue", "year"],
+        )
+        kw = keywords(spark.createDataFrame(pdf, schema=PAPER_SCHEMA), top_frequent_cut=1.0)
+        batch = word_vectors(kw.papers, kw.fb, dim=4)
+        local = local_word_vectors(local_keywords(pdf, top_frequent_cut=1.0), dim=4)
+        assert list(batch) == list(local) == ["alpha", "beta", "gamma", "delta"]
+        assert all(np.array_equal(batch[w], local[w]) for w in batch)
 
 
 class TestLocalEmbeddings:

@@ -10,20 +10,41 @@ from repro.core.gammas import GAMMA_NAMES
 from .oracle import assert_equivalent
 from .test_components import local_components
 
+#: Θ under which ``score_array`` gives 2γ₃ − 1: only γ₃ is informative
+#: (Gaussian, matched μ 1, unmatched μ 0, both variances ½, p = ½); the
+#: other five features have one marginal for both components, so they add 0.
+THETA = EMParams(
+    p=0.5,
+    features={
+        g: FeatureParams("gaussian", {"mu": 1.0, "var": 0.5}, {"mu": 0.0, "var": 0.5})
+        if g == "g3_interest"
+        else FeatureParams("gaussian", {"mu": 0.0, "var": 1.0}, {"mu": 0.0, "var": 1.0})
+        for g in GAMMA_NAMES
+    },
+)
+
 
 def pairs_pdf(rows):
-    cols = ["name", "vid_i", "vid_j", "score"]
-    return pd.DataFrame(rows, columns=cols)
+    """(name, vid_i, vid_j, score) rows as γ pairs that score ``score``
+    under ``THETA``."""
+    pdf = pd.DataFrame(rows, columns=["name", "vid_i", "vid_j", "score"])
+    scores = pdf.pop("score").to_numpy(dtype=float)
+    for g in GAMMA_NAMES:
+        pdf[g] = (scores + 1) / 2 if g == "g3_interest" else 0.0
+    assert np.allclose(score_array(pdf[list(GAMMA_NAMES)], THETA), scores)
+    return pdf
 
 
 def merge(spark, pairs, vertices, delta):
-    """``build_gcn`` over one occurrence of each (name, vertex_id) in
-    ``vertices``: (mapping, {vertex_id: gcn_vertex}) as pandas."""
+    """``build_gcn`` under ``THETA`` over one occurrence of each
+    (name, vertex_id) in ``vertices``: (mapping, {vertex_id: gcn_vertex})
+    as pandas."""
     asg = pd.DataFrame(vertices, columns=["name", "vertex_id"])
     asg.insert(0, "paper_id", range(len(asg)))
     asg["stable"] = True
     gcn = build_gcn(
-        spark.createDataFrame(asg), spark.createDataFrame(pairs_pdf(pairs)), delta=delta
+        spark.createDataFrame(asg), spark.createDataFrame(pairs_pdf(pairs)), THETA,
+        delta=delta,
     )
     got = gcn.assignments.toPandas()
     return gcn.mapping.toPandas(), dict(zip(got.vertex_id, got.gcn_vertex))
@@ -108,10 +129,26 @@ class TestMergeMapping:
         key = ["name", "vertex_id"]
         want = model.gcn.mapping.toPandas().sort_values(key, ignore_index=True)
         arrow_batch_rows(3)
-        gcn = build_gcn(model.scn.assignments, model.pairs, delta=model.delta)
+        gcn = build_gcn(
+            model.scn.assignments, model.pairs.drop("score"), model.params, delta=model.delta
+        )
         got = gcn.mapping.toPandas().sort_values(key, ignore_index=True)
         assert len(want) > 100
         pd.testing.assert_frame_equal(got, want)
+
+    def test_scored_view_rule(self, model):
+        """On the session model, the map is one union–find per name over
+        the scored view's rows with score ≥ δ."""
+        pairs = model.pairs.toPandas()
+        hits = pairs[pairs.score >= model.delta]
+        want = {
+            (name, vid): root
+            for name, g in hits.groupby("name")
+            for vid, root in local_components(zip(g.vid_i, g.vid_j)).items()
+        }
+        m = model.gcn.mapping.toPandas()
+        assert len(m) == len(want) > 100
+        assert {(r.name, r.vertex_id): r.gcn_vertex for r in m.itertuples(index=False)} == want
 
 
 def merged_components(spark, edges):
@@ -180,10 +217,10 @@ class TestBuildGcn:
         )
 
     def test_rekeys_assignments(self, spark):
-        scored = spark.createDataFrame(
+        pairs = spark.createDataFrame(
             pairs_pdf([("n", "n#a", "n#b", 5.0), ("n", "n#a", "n#c", -5.0)])
         )
-        gcn = build_gcn(self._scn_assignments(spark), scored, delta=0.0)
+        gcn = build_gcn(self._scn_assignments(spark), pairs, THETA, delta=0.0)
         asg = gcn.assignments.toPandas().set_index("paper_id")
         assert asg.loc[1, "gcn_vertex"] == asg.loc[2, "gcn_vertex"]
         assert asg.loc[3, "gcn_vertex"] == "n#c"
@@ -201,8 +238,8 @@ class TestBuildGcn:
                 }
             )
         )
-        scored = spark.createDataFrame(pairs_pdf([("n", "n#a", "n#a2", -99.0)]))
-        gcn = build_gcn(asg, scored, delta=0.0)
+        pairs = spark.createDataFrame(pairs_pdf([("n", "n#a", "n#a2", -99.0)]))
+        gcn = build_gcn(asg, pairs, THETA, delta=0.0)
         edges = {(r.u, r.v): r.cnt for r in gcn.edges.collect()}
         assert edges == {("m#z", "n#a"): 1}
 
